@@ -21,40 +21,23 @@ type request =
    everything at or above it) — mass above index 1 is the proof that
    cross-connection batching actually formed. *)
 type net_stats = {
-  ticks : int;
-  batches : int;
-  batched_queries : int;
+  mutable ticks : int;
+  mutable batches : int;
+  mutable batched_queries : int;
   batch_hist : int array;
-  max_batch : int;
-  replayed : int;
-  bytes_in : int;
-  bytes_out : int;
-  select_s : float;
-  work_s : float;
-  accepted : int;
-  idle_reaped : int;
-  at_capacity : int;
+  mutable max_batch : int;
+  mutable replayed : int;
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+  mutable select_s : float;
+  mutable work_s : float;
+  mutable accepted : int;
+  mutable idle_reaped : int;
+  mutable at_capacity : int;
 }
 
 let hist_buckets = 17
 let hist_slot k = if k >= hist_buckets then hist_buckets - 1 else k
-
-let net_stats_zero =
-  {
-    ticks = 0;
-    batches = 0;
-    batched_queries = 0;
-    batch_hist = Array.make hist_buckets 0;
-    max_batch = 0;
-    replayed = 0;
-    bytes_in = 0;
-    bytes_out = 0;
-    select_s = 0.;
-    work_s = 0.;
-    accepted = 0;
-    idle_reaped = 0;
-    at_capacity = 0;
-  }
 
 let shared_batches s =
   let n = ref 0 in
@@ -430,40 +413,8 @@ type conn = {
   mutable last_active : float;  (* last byte read or written *)
 }
 
-(* the loop's own counters, materialized into an immutable [net_stats]
-   on request and at exit *)
-type loop_stats = {
-  mutable l_ticks : int;
-  mutable l_batches : int;
-  mutable l_batched_queries : int;
-  l_hist : int array;
-  mutable l_max_batch : int;
-  mutable l_replayed : int;
-  mutable l_bytes_in : int;
-  mutable l_bytes_out : int;
-  mutable l_select_s : float;
-  mutable l_work_s : float;
-  mutable l_accepted : int;
-  mutable l_idle_reaped : int;
-  mutable l_at_capacity : int;
-}
-
-let snapshot_stats st =
-  {
-    ticks = st.l_ticks;
-    batches = st.l_batches;
-    batched_queries = st.l_batched_queries;
-    batch_hist = Array.copy st.l_hist;
-    max_batch = st.l_max_batch;
-    replayed = st.l_replayed;
-    bytes_in = st.l_bytes_in;
-    bytes_out = st.l_bytes_out;
-    select_s = st.l_select_s;
-    work_s = st.l_work_s;
-    accepted = st.l_accepted;
-    idle_reaped = st.l_idle_reaped;
-    at_capacity = st.l_at_capacity;
-  }
+(* the loop updates one [net_stats] in place; callers get copies *)
+let copy_stats s = { s with batch_hist = Array.copy s.batch_hist }
 
 let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
     ?idle_timeout_ms ?max_conns ?timeout_ms ?max_write ?stop ?on_listen ~port
@@ -487,19 +438,19 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
     (fun () ->
       let st =
         {
-          l_ticks = 0;
-          l_batches = 0;
-          l_batched_queries = 0;
-          l_hist = Array.make hist_buckets 0;
-          l_max_batch = 0;
-          l_replayed = 0;
-          l_bytes_in = 0;
-          l_bytes_out = 0;
-          l_select_s = 0.;
-          l_work_s = 0.;
-          l_accepted = 0;
-          l_idle_reaped = 0;
-          l_at_capacity = 0;
+          ticks = 0;
+          batches = 0;
+          batched_queries = 0;
+          batch_hist = Array.make hist_buckets 0;
+          max_batch = 0;
+          replayed = 0;
+          bytes_in = 0;
+          bytes_out = 0;
+          select_s = 0.;
+          work_s = 0.;
+          accepted = 0;
+          idle_reaped = 0;
+          at_capacity = 0;
         }
       in
       let idle_s =
@@ -518,19 +469,20 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
          answered by one shared run_batch *)
       let queries = ref [] in
       (* front-door replay cache: query text -> the finished response
-         frame, valid for one published-snapshot generation.  Queries
-         run against the frozen snapshot, so pending appends invalidate
-         nothing — only a publish does.  The stored frame says
-         cached=true, which is exactly what the plan cache would report
-         on the repeat execution the replay stands in for, so replayed
-         bytes are identical to what the slow path would send. *)
+         frame, valid for one published snapshot (checked by physical
+         identity).  Queries run against the frozen snapshot, so
+         pending appends invalidate nothing — only a publish does.  The
+         stored frame says cached=true, which is exactly what the plan
+         cache would report on the repeat execution the replay stands
+         in for, so replayed bytes are identical to what the slow path
+         would send. *)
       let replay_cap = 4096 in
       let replay = Hashtbl.create 256 in
-      let replay_gen = ref (Serve.stats t).Serve.snapshots_published in
-      let check_generation () =
-        let gen = (Serve.stats t).Serve.snapshots_published in
-        if gen <> !replay_gen then begin
-          replay_gen := gen;
+      let replay_snap = ref (Serve.snapshot t) in
+      let check_snapshot () =
+        let snap = Serve.snapshot t in
+        if snap != !replay_snap then begin
+          replay_snap := snap;
           Hashtbl.reset replay
         end
       in
@@ -578,7 +530,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
               Some
                 (Resp
                    (Stats_reply
-                      { serve = Serve.stats t; net = snapshot_stats st }))
+                      { serve = Serve.stats t; net = copy_stats st }))
         | Publish -> (
             (* the publish barrier covers every append acknowledged
                before it on this connection: commit the open group
@@ -586,14 +538,14 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             flush_appends ();
             match Serve.publish t with
             | () ->
-                check_generation ();
+                check_snapshot ();
                 cell := Some (Resp Published)
             | exception e ->
                 cell := Some (Resp (Error_reply (Printexc.to_string e))))
         | Query text -> (
             match Hashtbl.find_opt replay text with
             | Some frame ->
-                st.l_replayed <- st.l_replayed + 1;
+                st.replayed <- st.replayed + 1;
                 cell := Some (Replay frame)
             | None -> (
                 match Xq_parse.parse ~name:"net" text with
@@ -631,7 +583,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         match Iobuf.read_from c.inbuf c.fd with
         | 0 -> c.closing <- true
         | n ->
-            st.l_bytes_in <- st.l_bytes_in + n;
+            st.bytes_in <- st.bytes_in + n;
             c.last_active <- now;
             let continue = ref true in
             while !continue && not c.closing do
@@ -681,7 +633,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
       let write_conn ~now c =
         match Iobuf.write_to ?max:max_write c.outbuf c.fd with
         | n ->
-            st.l_bytes_out <- st.l_bytes_out + n;
+            st.bytes_out <- st.bytes_out + n;
             if n > 0 then c.last_active <- now
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
             ()
@@ -731,9 +683,9 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
         let t1 = Unix.gettimeofday () in
-        st.l_select_s <- st.l_select_s +. (t1 -. t0);
-        st.l_ticks <- st.l_ticks + 1;
-        if at_cap then st.l_at_capacity <- st.l_at_capacity + 1;
+        st.select_s <- st.select_s +. (t1 -. t0);
+        st.ticks <- st.ticks + 1;
+        if at_cap then st.at_capacity <- st.at_capacity + 1;
         if List.memq lfd rs then begin
           let accepting = ref true in
           while !accepting do
@@ -748,7 +700,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
                   Unix.set_nonblock fd;
                   (try Unix.setsockopt fd Unix.TCP_NODELAY true
                    with Unix.Unix_error _ -> ());
-                  st.l_accepted <- st.l_accepted + 1;
+                  st.accepted <- st.accepted + 1;
                   conns :=
                     {
                       fd;
@@ -767,7 +719,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         end;
         (* an out-of-band publish (another thread sharing [t]) must not
            leave stale frames replayable *)
-        check_generation ();
+        check_snapshot ();
         List.iter
           (fun c -> if List.memq c.fd rs then read_conn ~now:t1 c)
           readable;
@@ -779,10 +731,10 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
             queries := [];
             let arr = Array.of_list (List.map (fun (_, _, ast) -> ast) qs) in
             let k = Array.length arr in
-            st.l_batches <- st.l_batches + 1;
-            st.l_batched_queries <- st.l_batched_queries + k;
-            st.l_max_batch <- max st.l_max_batch k;
-            st.l_hist.(hist_slot k) <- st.l_hist.(hist_slot k) + 1;
+            st.batches <- st.batches + 1;
+            st.batched_queries <- st.batched_queries + k;
+            st.max_batch <- max st.max_batch k;
+            st.batch_hist.(hist_slot k) <- st.batch_hist.(hist_slot k) + 1;
             let res = Serve.run_batch ?timeout_ms t arr in
             List.iteri
               (fun i (cell, text, _) ->
@@ -834,271 +786,19 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
                   && now -. c.last_active >= idle
                 then begin
                   drop c;
-                  st.l_idle_reaped <- st.l_idle_reaped + 1
+                  st.idle_reaped <- st.idle_reaped + 1
                 end)
               !conns);
         if !dead <> [] then begin
           conns := List.filter (fun c -> not (List.memq c !dead)) !conns;
           dead := []
         end;
-        st.l_work_s <- st.l_work_s +. (Unix.gettimeofday () -. t1)
+        st.work_s <- st.work_s +. (Unix.gettimeofday () -. t1)
       done;
       List.iter
         (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
         !conns;
-      snapshot_stats st)
-
-(* ------------------------------------------------------------------ *)
-(* reference server: the pre-batching-rework loop                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The front door as PR 9 shipped it, kept verbatim (modulo the shared
-   message codec) as the measurement baseline the serve_perf bench
-   compares the reworked loop against on the same machine in the same
-   run — the same role [Optimizer_reference] plays for the optimizer.
-   Known costs, by design: a fresh 64 KiB read buffer per read call,
-   quadratic [pend]/[out] string rebuilds, a full-frame copy per
-   extract, and responses written only when the fd showed up in the
-   {e previous} tick's writable set (one extra select round per
-   response).  Do not "fix" it. *)
-type rconn = {
-  rfd : Unix.file_descr;
-  mutable rpend : string;
-  mutable rout : string;
-  mutable routpos : int;
-  rq : response option ref Queue.t;
-  mutable rclosing : bool;
-}
-
-let serve_reference ?(host = "127.0.0.1") ?(group_commit_ms = 5)
-    ?(max_group = 64) ?timeout_ms ?stop ?on_listen ~port t =
-  if group_commit_ms < 0 then
-    invalid_arg "Net.serve_reference: group_commit_ms must be >= 0";
-  if max_group < 1 then invalid_arg "Net.serve_reference: max_group must be >= 1";
-  ignore_sigpipe ();
-  let lfd = listen_socket ~host ~port ?on_listen () in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
-    (fun () ->
-      let conns = ref [] in
-      let dead = ref [] in
-      let drop c =
-        if not (List.memq c !dead) then begin
-          dead := c :: !dead;
-          (try Unix.close c.rfd with Unix.Unix_error _ -> ())
-        end
-      in
-      let queries = ref [] in
-      let appends = Queue.create () in
-      let group_opened = ref None in
-      let flush_appends () =
-        if not (Queue.is_empty appends) then begin
-          let items = List.of_seq (Queue.to_seq appends) in
-          Queue.clear appends;
-          group_opened := None;
-          match Serve.append_group t (List.map snd items) with
-          | results ->
-              List.iter2
-                (fun (cell, _) res ->
-                  cell :=
-                    Some
-                      (match res with
-                      | Ok () -> Acked
-                      | Error m -> Error_reply m))
-                items results
-          | exception e ->
-              let m = Printexc.to_string e in
-              List.iter (fun (cell, _) -> cell := Some (Error_reply m)) items
-        end
-      in
-      let enqueue_cell c =
-        let cell = ref None in
-        Queue.push cell c.rq;
-        cell
-      in
-      let handle c req =
-        let cell = enqueue_cell c in
-        match req with
-        | Ping -> cell := Some Pong
-        | Stats ->
-            cell :=
-              Some (Stats_reply { serve = Serve.stats t; net = net_stats_zero })
-        | Publish -> (
-            flush_appends ();
-            match Serve.publish t with
-            | () -> cell := Some Published
-            | exception e -> cell := Some (Error_reply (Printexc.to_string e)))
-        | Query text -> (
-            match Xq_parse.parse ~name:"net" text with
-            | ast -> queries := (cell, ast) :: !queries
-            | exception Xq_parse.Parse_error { position; message } ->
-                cell :=
-                  Some
-                    (Error_reply
-                       (Printf.sprintf "query parse error at offset %d: %s"
-                          position message)))
-        | Append text -> (
-            match Xml_parse.parse_string text with
-            | doc ->
-                if Queue.is_empty appends then
-                  group_opened := Some (Unix.gettimeofday ());
-                Queue.push (cell, doc) appends;
-                if Queue.length appends >= max_group then flush_appends ()
-            | exception Xml_parse.Parse_error { position; message } ->
-                cell :=
-                  Some
-                    (Error_reply
-                       (Printf.sprintf "XML parse error at offset %d: %s"
-                          position message)))
-      in
-      let protocol_error c m =
-        enqueue_cell c := Some (Error_reply m);
-        c.rclosing <- true
-      in
-      let read_conn c =
-        let buf = Bytes.create 65536 in
-        match Unix.read c.rfd buf 0 (Bytes.length buf) with
-        | 0 -> c.rclosing <- true
-        | n ->
-            c.rpend <- c.rpend ^ Bytes.sub_string buf 0 n;
-            let continue = ref true in
-            while !continue && not c.rclosing do
-              match extract c.rpend with
-              | `Partial -> continue := false
-              | `Broken m ->
-                  protocol_error c m;
-                  continue := false
-              | `Frame (payload, rest) -> (
-                  c.rpend <- rest;
-                  match decode_request payload with
-                  | req -> handle c req
-                  | exception Wire.Corrupt m -> protocol_error c m)
-            done
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-            ()
-        | exception Unix.Unix_error _ -> drop c
-      in
-      let drain c =
-        let b = Buffer.create 256 in
-        let continue = ref true in
-        while !continue && not (Queue.is_empty c.rq) do
-          match !(Queue.peek c.rq) with
-          | Some resp ->
-              ignore (Queue.pop c.rq);
-              Buffer.add_string b (encode_response resp)
-          | None -> continue := false
-        done;
-        if Buffer.length b > 0 then begin
-          let rest =
-            String.sub c.rout c.routpos (String.length c.rout - c.routpos)
-          in
-          c.rout <- rest ^ Buffer.contents b;
-          c.routpos <- 0
-        end
-      in
-      let write_conn c =
-        match
-          Unix.write_substring c.rfd c.rout c.routpos
-            (String.length c.rout - c.routpos)
-        with
-        | n ->
-            c.routpos <- c.routpos + n;
-            if c.routpos >= String.length c.rout then begin
-              c.rout <- "";
-              c.routpos <- 0
-            end
-        | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-            ()
-        | exception Unix.Unix_error _ -> drop c
-      in
-      let stopped () = match stop with Some r -> !r | None -> false in
-      while not (stopped ()) do
-        let timeout =
-          match !group_opened with
-          | None -> 0.25
-          | Some t0 ->
-              let d =
-                t0 +. (float_of_int group_commit_ms /. 1000.)
-                -. Unix.gettimeofday ()
-              in
-              Float.max 0. (Float.min 0.25 d)
-        in
-        let readable = List.filter (fun c -> not c.rclosing) !conns in
-        let writable =
-          List.filter (fun c -> String.length c.rout > c.routpos) !conns
-        in
-        let rs, ws, _ =
-          try
-            Unix.select
-              (lfd :: List.map (fun c -> c.rfd) readable)
-              (List.map (fun c -> c.rfd) writable)
-              [] timeout
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        if List.memq lfd rs then begin
-          let accepting = ref true in
-          while !accepting do
-            match Unix.accept lfd with
-            | fd, _ ->
-                Unix.set_nonblock fd;
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                conns :=
-                  {
-                    rfd = fd;
-                    rpend = "";
-                    rout = "";
-                    routpos = 0;
-                    rq = Queue.create ();
-                    rclosing = false;
-                  }
-                  :: !conns
-            | exception
-                Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                accepting := false
-            | exception Unix.Unix_error _ -> accepting := false
-          done
-        end;
-        List.iter (fun c -> if List.memq c.rfd rs then read_conn c) readable;
-        (match List.rev !queries with
-        | [] -> ()
-        | qs ->
-            queries := [];
-            let arr = Array.of_list (List.map snd qs) in
-            let res = Serve.run_batch ?timeout_ms t arr in
-            List.iteri
-              (fun i (cell, _) ->
-                cell :=
-                  Some
-                    (match res.(i) with
-                    | Ok (r : Serve.reply) ->
-                        Rows { rows = r.Serve.rows; cached = r.Serve.cached }
-                    | Error m -> Error_reply m))
-              qs);
-        (match !group_opened with
-        | Some t0
-          when Unix.gettimeofday ()
-               >= t0 +. (float_of_int group_commit_ms /. 1000.) ->
-            flush_appends ()
-        | _ -> ());
-        List.iter
-          (fun c ->
-            drain c;
-            if String.length c.rout > c.routpos && List.memq c.rfd ws then
-              write_conn c;
-            if
-              c.rclosing && Queue.is_empty c.rq
-              && String.length c.rout <= c.routpos
-            then drop c)
-          !conns;
-        if !dead <> [] then begin
-          conns := List.filter (fun c -> not (List.memq c !dead)) !conns;
-          dead := []
-        end
-      done;
-      List.iter
-        (fun c -> try Unix.close c.rfd with Unix.Unix_error _ -> ())
-        !conns)
+      copy_stats st)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

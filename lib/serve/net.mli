@@ -60,27 +60,30 @@ type request =
     query batch held [k] queries, the last bucket absorbing everything
     at or above it; mass at index ≥ 2 proves cross-connection (or
     pipelined) batching actually formed.  [select_s]/[work_s] split
-    wall time into waiting-for-readiness vs processing. *)
+    wall time into waiting-for-readiness vs processing.  The running
+    loop updates its record in place; every [net_stats] handed out
+    (a [Stats_reply], {!serve}'s result) is a copy with its own
+    [batch_hist]. *)
 type net_stats = {
-  ticks : int;
-  batches : int;
-  batched_queries : int;
+  mutable ticks : int;
+  mutable batches : int;
+  mutable batched_queries : int;
   batch_hist : int array;
-  max_batch : int;
-  replayed : int;
+  mutable max_batch : int;
+  mutable replayed : int;
       (** queries answered from the front-door replay cache — the
           finished frame of an identical earlier query against the same
           published snapshot, blitted straight into the output buffer *)
-  bytes_in : int;
-  bytes_out : int;
-  select_s : float;
-  work_s : float;
-  accepted : int;
-  idle_reaped : int;  (** connections reaped by [idle_timeout_ms] *)
-  at_capacity : int;  (** ticks the listener was parked by [max_conns] *)
+  mutable bytes_in : int;
+  mutable bytes_out : int;
+  mutable select_s : float;
+  mutable work_s : float;
+  mutable accepted : int;
+  mutable idle_reaped : int;  (** connections reaped by [idle_timeout_ms] *)
+  mutable at_capacity : int;
+      (** ticks the listener was parked by [max_conns] *)
 }
 
-val net_stats_zero : net_stats
 val hist_buckets : int
 
 val shared_batches : net_stats -> int
@@ -97,9 +100,7 @@ type response =
   | Acked  (** the append's group fsync returned; it is durable *)
   | Published
   | Stats_reply of { serve : Serve.stats; net : net_stats }
-      (** engine counters plus the serving loop's own ({!net_stats} is
-          all zeros when the answering loop predates the counters,
-          e.g. {!serve_reference}) *)
+      (** engine counters plus the serving loop's own *)
   | Pong
   | Error_reply of string
       (** a structured failure: parse error, untranslatable query,
@@ -170,24 +171,6 @@ val serve :
     [idle_timeout_ms < 1], [max_conns < 1], or [max_write < 1]
     @raise Unix.Unix_error e.g. when the port is already bound
     ([EADDRINUSE] — the CLI maps this family to exit code 9). *)
-
-val serve_reference :
-  ?host:string ->
-  ?group_commit_ms:int ->
-  ?max_group:int ->
-  ?timeout_ms:int ->
-  ?stop:bool ref ->
-  ?on_listen:(int -> unit) ->
-  port:int ->
-  Serve.t ->
-  unit
-(** The front door as PR 9 shipped it — fresh 64 KiB read buffer per
-    read, quadratic string rebuilds, responses written one select
-    round late — kept as the adjacent same-machine baseline the
-    serve_perf bench measures the reworked loop against (the role
-    [Optimizer_reference] plays for the optimizer).  Same protocol,
-    same answers; its [Stats_reply] carries {!net_stats_zero}.  Not
-    for production use. *)
 
 (** {1 Client} *)
 

@@ -11,27 +11,36 @@ module Optimizer = Legodb_optimizer.Optimizer
 module Cost = Legodb_optimizer.Cost
 module Executor = Legodb_optimizer.Executor
 module Xq_ast = Legodb_xquery.Xq_ast
-module Cost_engine = Legodb_search.Cost_engine
 module Par = Legodb_search.Par
 
 (* One serving snapshot: the frozen store plus the fingerprint index
-   of its catalog, computed once per publish so every request's
-   plan-cache key costs O(touched tables) hashtable probes. *)
+   of its catalog, computed once per publish.  Each publish builds a
+   fresh index, so [fps] is physically unique to its snapshot: plans are
+   stamped with it. *)
 type snap = {
   db : Storage.t;
   fps : (string, string) Hashtbl.t;
 }
 
-(* per-statement translation, done once ever (it depends only on the
-   mapping, which never changes); plans are per (statement, snapshot
-   fingerprints) *)
-type translation = {
-  id : int;  (* statement index for the cache key *)
-  lq : Logical.query;
-  tables : string list;  (* the statement's read set *)
+type compiled = (Physical.plan * (string * string) list) list
+
+(* plans compiled for one snapshot: [stamp] is that snapshot's
+   fingerprint index (its identity; the index rather than the store, so
+   a stale entry never pins a dropped store in memory) and [touched]
+   the fingerprints of the statement's tables under its catalog *)
+type plan = {
+  stamp : (string, string) Hashtbl.t;
+  touched : string option list;
+  compiled : compiled;
 }
 
-type compiled = (Physical.plan * (string * string) list) list
+(* one cached statement: its translation, done once (it depends only on
+   the mapping, which never changes), and its latest plans *)
+type statement = {
+  lq : Logical.query;
+  tables : string list;  (* the statement's read set *)
+  mutable plan : plan;
+}
 
 type reply = {
   rows : Rtype.value list list;
@@ -71,11 +80,9 @@ type t = {
   working : Storage.t;
   snap : snap Atomic.t;
   lock : Serve_lock.t;
+  served : int Atomic.t;
   (* guarded by [lock]: *)
-  translations : (string, translation) Hashtbl.t;  (* structural text -> t *)
-  plans : (string, compiled) Hashtbl.t;  (* statement_key -> plans *)
-  mutable next_id : int;
-  mutable served : int;
+  statements : (string, statement) Hashtbl.t;  (* by statement_text *)
   mutable hits : int;
   mutable misses : int;
   mutable published : int;
@@ -88,11 +95,11 @@ type t = {
   mutable dur : durable option;
 }
 
-(* compiled plans for dropped snapshots accumulate under their
-   unreachable keys; a long-lived server publishing many snapshots
-   would otherwise leak, so the cache is simply emptied when it
-   exceeds this many entries (recompiling is cheap and rare) *)
-let max_cached_plans = 4096
+(* every distinct statement text gets an entry, and constants make
+   texts distinct; a long-lived server would otherwise leak, so the
+   table is simply emptied when it reaches this many entries
+   (retranslating and recompiling is cheap and rare) *)
+let max_statements = 4096
 
 let make ?(jobs = 0) ?(params = Cost.default_params)
     ?(clock = Unix.gettimeofday) mapping db =
@@ -108,10 +115,8 @@ let make ?(jobs = 0) ?(params = Cost.default_params)
       Atomic.make
         { db = frozen; fps = Mapping.fingerprint_index (Storage.catalog frozen) };
     lock = Serve_lock.create ();
-    translations = Hashtbl.create 64;
-    plans = Hashtbl.create 256;
-    next_id = 0;
-    served = 0;
+    served = Atomic.make 0;
+    statements = Hashtbl.create 256;
     hits = 0;
     misses = 0;
     published = 0;
@@ -162,54 +167,64 @@ let compile_blocks ~params cat (lq : Logical.query) : compiled =
       ((Optimizer.optimize_block ~params cat b).Optimizer.plan, b.Logical.out))
     lq.Logical.blocks
 
-(* translate once per distinct statement; Untranslatable escapes to
-   the caller before anything is cached *)
-let translation t q =
+let touched (snap : snap) tables = List.map (Hashtbl.find_opt snap.fps) tables
+
+(* whether [st]'s plans hold under [snap]: they were compiled for it, or
+   a publish since left every touched table's fingerprint unchanged (the
+   plans are then re-stamped, and stay warm).  Caller holds the lock. *)
+let current (snap : snap) st =
+  if st.plan.stamp == snap.fps then true
+  else if st.plan.touched = touched snap st.tables then begin
+    st.plan <- { st.plan with stamp = snap.fps };
+    true
+  end
+  else false
+
+let plans_for t (snap : snap) q =
   let text = statement_text q in
   match
-    Serve_lock.with_lock t.lock (fun () -> Hashtbl.find_opt t.translations text)
-  with
-  | Some tr -> tr
-  | None ->
-      let lq, tables = Xq_translate.translate_with_tables t.mapping q in
-      Serve_lock.with_lock t.lock (fun () ->
-          match Hashtbl.find_opt t.translations text with
-          | Some tr -> tr  (* another worker won the race *)
-          | None ->
-              let tr = { id = t.next_id; lq; tables } in
-              t.next_id <- t.next_id + 1;
-              Hashtbl.replace t.translations text tr;
-              tr)
-
-let plans_for t (snap : snap) (tr : translation) =
-  let key =
-    Cost_engine.statement_key ~kind:'q' ~index:tr.id snap.fps tr.tables
-  in
-  match
     Serve_lock.with_lock t.lock (fun () ->
-        match Hashtbl.find_opt t.plans key with
-        | Some p ->
+        match Hashtbl.find_opt t.statements text with
+        | Some st when current snap st ->
             t.hits <- t.hits + 1;
-            Some p
-        | None -> None)
+            Ok st.plan.compiled
+        | found -> Error found)
   with
-  | Some p -> (p, true)
-  | None ->
-      (* compile outside the lock: join ordering is the expensive part
-         and must not serialize the whole batch; first writer wins *)
-      let compiled = compile_blocks ~params:t.params (Storage.catalog snap.db) tr.lq in
-      let p =
-        Serve_lock.with_lock t.lock (fun () ->
-            match Hashtbl.find_opt t.plans key with
-            | Some p -> p
-            | None ->
-                if Hashtbl.length t.plans >= max_cached_plans then
-                  Hashtbl.reset t.plans;
-                Hashtbl.replace t.plans key compiled;
-                t.misses <- t.misses + 1;
-                compiled)
+  | Ok compiled -> (compiled, true)
+  | Error found ->
+      (* translate (first sight only; Untranslatable escapes before
+         anything is cached) and compile outside the lock: join
+         ordering is the expensive part and must not serialize the
+         whole batch; first writer wins *)
+      let lq, tables =
+        match found with
+        | Some st -> (st.lq, st.tables)
+        | None -> Xq_translate.translate_with_tables t.mapping q
       in
-      (p, false)
+      let plan =
+        {
+          stamp = snap.fps;
+          touched = touched snap tables;
+          compiled =
+            compile_blocks ~params:t.params (Storage.catalog snap.db) lq;
+        }
+      in
+      let compiled =
+        Serve_lock.with_lock t.lock (fun () ->
+            match Hashtbl.find_opt t.statements text with
+            | Some st when st.plan.stamp == snap.fps -> st.plan.compiled
+            | Some st ->
+                st.plan <- plan;
+                t.misses <- t.misses + 1;
+                plan.compiled
+            | None ->
+                if Hashtbl.length t.statements >= max_statements then
+                  Hashtbl.reset t.statements;
+                Hashtbl.replace t.statements text { lq; tables; plan };
+                t.misses <- t.misses + 1;
+                plan.compiled)
+      in
+      (compiled, false)
 
 exception Timed_out
 
@@ -230,13 +245,13 @@ let run_blocks t db ~deadline plans =
 let query_on t (snap : snap) ?(use_cache = true) ?deadline q =
   let t0 = t.clock () in
   let plans, cached =
-    if use_cache then plans_for t snap (translation t q)
+    if use_cache then plans_for t snap q
     else
       let lq = Xq_translate.translate t.mapping q in
       (compile_blocks ~params:t.params (Storage.catalog snap.db) lq, false)
   in
   let rows = run_blocks t snap.db ~deadline plans in
-  Serve_lock.with_lock t.lock (fun () -> t.served <- t.served + 1);
+  Atomic.incr t.served;
   { rows; cached; latency_s = t.clock () -. t0 }
 
 let query ?use_cache t q = query_on t (Atomic.get t.snap) ?use_cache q
@@ -490,7 +505,7 @@ let stats t =
         | Some d -> Wal.stats d.wal
       in
       {
-        served = t.served;
+        served = Atomic.get t.served;
         cache_hits = t.hits;
         cache_misses = t.misses;
         snapshot_rows = Storage.total_rows (Atomic.get t.snap).db;

@@ -26,23 +26,27 @@
 
     Translating a request and join-ordering its blocks costs orders of
     magnitude more than executing a selective plan, so compiled
-    physical plans are cached.  The key is
-    {!Legodb_search.Cost_engine.statement_key} — statement identity
-    (structural, name-independent) x the fingerprints of the tables the
-    statement touches under the {e current snapshot's} catalog — so the
-    cache has exactly the cost engine's invalidation semantics: a
-    publish that leaves a statement's tables structurally unchanged
-    keeps its plan warm, and one that changes their statistics makes
-    the old key unreachable (the plan is recompiled under the new
-    statistics, never reused stale).
+    physical plans are cached.  One table, keyed on the statement's
+    structural (name-independent) text, holds each statement's
+    translation and its latest plans, stamped with the snapshot they
+    were compiled for and the fingerprints of the tables the statement
+    touches under that snapshot's catalog.  A request against the
+    stamped snapshot is a hit with no key to build.  After a publish, a
+    statement whose tables are structurally unchanged keeps its plans
+    warm (they are re-stamped, and the request counts as a hit); one
+    whose tables' statistics changed is recompiled under the new
+    statistics, never reused stale.  The table holds at most 4096
+    statements and is emptied when full, so distinct constants cannot
+    grow it without bound.
 
     {2 Concurrency}
 
     {!run_batch} fans a batch out on {!Legodb_search.Par.run_tasks}'s
     persistent domain pool (sequential on an OCaml 4.14 build — same
-    answers, no overlap).  Shared mutable state (plan cache, counters,
-    working store) is guarded by one lock; execution — the bulk of a
-    request — runs lock-free against the immutable snapshot.
+    answers, no overlap).  Shared mutable state (statement table,
+    counters, working store) is guarded by one lock, which a cache hit
+    takes once; execution — the bulk of a request — runs lock-free
+    against the immutable snapshot.
 
     {2 Durability}
 

@@ -81,7 +81,7 @@ let run_server ?group_commit_ms ?max_group ?idle_timeout_ms ?max_conns
               ~port:0 server
           in
           (* the loop's final counters, visible once [halt] has joined *)
-          Option.iter (fun r -> r := net) net_out
+          Option.iter (fun r -> r := Some net) net_out
         with e -> failure := Some e)
       ()
   in
@@ -345,7 +345,7 @@ let suite =
     case "a pipelined burst is answered as one shared batch" (fun () ->
         let doc, m = setup () in
         let server = Serve.create ~jobs:2 m (Shred.shred m doc) in
-        let net_final = ref Net.net_stats_zero in
+        let net_final = ref None in
         let answers =
           run_server ~net_out:net_final server (fun port ->
               with_client port (fun c ->
@@ -372,7 +372,7 @@ let suite =
               true
               (rows = List.nth reference (i mod 3)))
           answers;
-        let net = !net_final in
+        let net = Option.get !net_final in
         check_int "all eight were batched" 8 net.Net.batched_queries;
         check_bool "a shared batch formed" true (Net.shared_batches net >= 1);
         check_bool "histogram mass above 1" true (net.Net.max_batch >= 2);
@@ -486,7 +486,7 @@ let suite =
     case "idle connections are reaped, busy and owed ones are not" (fun () ->
         let doc, m = setup () in
         let server = Serve.create ~jobs:2 m (Shred.shred m doc) in
-        let net_final = ref Net.net_stats_zero in
+        let net_final = ref None in
         run_server ~idle_timeout_ms:60 ~net_out:net_final server (fun port ->
             with_client port (fun busy ->
                 (* a connection that keeps moving bytes outlives many
@@ -509,12 +509,12 @@ let suite =
             | exception Net.Protocol_error _ -> ()
             | _ -> Alcotest.fail "expected the idle connection reaped");
         check_bool "the reap was counted" true
-          (!net_final.Net.idle_reaped >= 1));
+          ((Option.get !net_final).Net.idle_reaped >= 1));
     case "the listener parks at max-conns and resumes as slots free"
       (fun () ->
         let doc, m = setup () in
         let server = Serve.create ~jobs:2 m (Shred.shred m doc) in
-        let net_final = ref Net.net_stats_zero in
+        let net_final = ref None in
         run_server ~max_conns:2 ~net_out:net_final server (fun port ->
             let c1 = Net.connect ~port () in
             let c2 = Net.connect ~port () in
@@ -539,7 +539,7 @@ let suite =
             | Net.Pong -> ()
             | _ -> Alcotest.fail "expected pong once a slot freed");
         check_int "the third peer was eventually accepted" 3
-          !net_final.Net.accepted);
+          (Option.get !net_final).Net.accepted);
     case "interleaved multi-connection traffic keeps per-connection order"
       (fun () ->
         let doc, m = setup () in

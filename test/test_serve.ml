@@ -137,6 +137,81 @@ let suite =
         match (Serve.run_batch s [| q_titles |]).(0) with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "unexpected error: %s" e);
+    case "publish keeps plans over unchanged tables, recompiles changed ones"
+      (fun () ->
+        let doc, m, db = setup () in
+        let s = Serve.create ~jobs:1 m db in
+        ignore (Serve.query s q_actors);
+        (* the one-shot path: translate, optimize every block, execute *)
+        let one_shot () =
+          let snap = Serve.snapshot s in
+          let cat = Storage.catalog snap in
+          List.concat_map
+            (fun (b : Logical.block) ->
+              fst
+                (Executor.run_block snap
+                   (Optimizer.optimize_block cat b).Optimizer.plan
+                   b.Logical.out))
+            (Xq_translate.translate m q_actors).Logical.blocks
+        in
+        Serve.publish s;
+        let r = Serve.query s q_actors in
+        check_bool "publish without appends: still cached" true r.Serve.cached;
+        check_bool "rows equal the one-shot path" true
+          (r.Serve.rows = one_shot ());
+        Serve.append s doc;
+        Serve.publish s;
+        let r' = Serve.query s q_actors in
+        check_bool "publish after appends: recompiled" false r'.Serve.cached;
+        check_bool "rows equal the one-shot path after appends" true
+          (r'.Serve.rows = one_shot ());
+        check_int "the appended actors are answered"
+          (2 * List.length r.Serve.rows)
+          (List.length r'.Serve.rows);
+        let st = Serve.stats s in
+        check_int "two compilations" 2 st.Serve.cache_misses;
+        check_int "one hit" 1 st.Serve.cache_hits);
+    case "distinct constants do not grow the statement table" (fun () ->
+        let _, m, db = setup () in
+        let s = Serve.create ~jobs:1 m db in
+        let q i =
+          Xq_parse.parse ~name:"q"
+            (Printf.sprintf
+               "FOR $v IN document(\"x\")/imdb/show WHERE $v/year = %d RETURN \
+                $v/title"
+               i)
+        in
+        let serve_range lo hi =
+          for i = lo to hi - 1 do
+            ignore (Serve.query s (q i))
+          done
+        in
+        let live () =
+          Gc.full_major ();
+          (Gc.stat ()).Gc.live_words
+        in
+        (* the table holds 4096 statements and empties when the next
+           one arrives: statement 4096 + 1 is the first reset point,
+           3 * 4096 + 1 the third *)
+        let cap = 4096 in
+        serve_range 0 (cap + 1);
+        let first = live () in
+        serve_range (cap + 1) ((3 * cap) + 1);
+        let third = live () in
+        (* for scale: the live size of [cap] translations *)
+        let translations =
+          List.init cap (fun i -> Xq_translate.translate m (q i))
+        in
+        let with_translations = live () in
+        ignore (Sys.opaque_identity translations);
+        let bound = with_translations - third in
+        check_int "every statement served" ((3 * cap) + 1)
+          (Serve.stats s).Serve.served;
+        check_bool
+          (Printf.sprintf "live words grew by %d, under %d" (third - first)
+             bound)
+          true
+          (third - first < bound));
     case "summarize percentiles (nearest rank)" (fun () ->
         let lat = Array.init 100 (fun i -> float_of_int (i + 1) /. 1000.) in
         let s = Serve.summarize ~wall_s:0.5 lat in
