@@ -71,7 +71,6 @@ let w_opt b f = function
 type cursor = { buf : string; mutable pos : int }
 
 let cursor buf = { buf; pos = 0 }
-let at_end cur = cur.pos >= String.length cur.buf
 
 let r_line cur =
   match String.index_from_opt cur.buf cur.pos '\n' with
@@ -116,62 +115,93 @@ let r_opt cur f =
   | "+" -> Some (f cur)
   | s -> corrupt "malformed payload: expected an option marker, got %S" s
 
+let expect_end cur what =
+  if cur.pos < String.length cur.buf then
+    corrupt "malformed payload: %d trailing bytes in %s"
+      (String.length cur.buf - cur.pos)
+      what
+
+(* ------------------------------------------------------------------ *)
+(* frame headers                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let header head payload =
+  Printf.sprintf "%s %08lx %d\n" head (crc32 payload) (String.length payload)
+
+(* Header fields are accepted only in the exact form [header] prints —
+   lowercase %08lx checksum, canonical decimal numbers.  [int_of_string]
+   also takes "0x..", "+5", "05", "1_0", and hex parsing ignores case,
+   so anything laxer would let a single flipped bit parse back to the
+   same values: a damaged header would alias an undamaged one, and "any
+   single bit flip is rejected" is a contract the protocol fuzz tests
+   hold every frame to. *)
+let canonical_int s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 && String.equal s (string_of_int n) -> Some n
+  | _ -> None
+
+let parse_header line =
+  match List.rev (String.split_on_char ' ' line) with
+  | len_s :: crc_s :: (_ :: _ as rev_head) ->
+      let len =
+        match canonical_int len_s with
+        | Some n -> n
+        | None -> corrupt "malformed header: payload length %S" len_s
+      in
+      let crc =
+        match Int32.of_string_opt ("0x" ^ crc_s) with
+        | Some c when String.equal crc_s (Printf.sprintf "%08lx" c) -> c
+        | _ ->
+            corrupt "malformed header: checksum %S is not canonical hex" crc_s
+      in
+      (List.rev rev_head, crc, len)
+  | _ ->
+      let shown =
+        if String.length line <= 64 then line else String.sub line 0 64
+      in
+      corrupt "malformed header %S" shown
+
+let check_crc expected payload =
+  let actual = crc32 payload in
+  if not (Int32.equal expected actual) then
+    corrupt "checksum mismatch: header says %08lx, payload hashes to %08lx"
+      expected actual
+
+let check_version ~magic ~version ~kind = function
+  | [ m; v ] when String.equal m magic -> (
+      match canonical_int v with
+      | Some v when v = version -> ()
+      | Some v ->
+          corrupt "unsupported %s version %d (this build reads %d)" kind v
+            version
+      | None -> corrupt "malformed header: version %S is not a number" v)
+  | _ -> corrupt "bad magic: not a LegoDB %s" kind
+
 (* ------------------------------------------------------------------ *)
 (* file image: header + checksummed payload                            *)
 (* ------------------------------------------------------------------ *)
 
 let frame ~magic ~version payload =
-  Printf.sprintf "%s %d %08lx %d\n%s" magic version (crc32 payload)
-    (String.length payload)
-    payload
+  header (Printf.sprintf "%s %d" magic version) payload ^ payload
 
 let unframe ~magic ~version ~kind image =
-  let header, body =
+  let nl =
     match String.index_opt image '\n' with
     | None -> corrupt "truncated %s: no header line" kind
-    | Some nl ->
-        ( String.sub image 0 nl,
-          String.sub image (nl + 1) (String.length image - nl - 1) )
+    | Some nl -> nl
   in
-  let m, v, crc, len =
-    match String.split_on_char ' ' header with
-    | [ m; v; crc; len ] -> (m, v, crc, len)
-    | _ -> corrupt "bad magic: not a LegoDB %s" kind
-  in
-  if not (String.equal m magic) then corrupt "bad magic: not a LegoDB %s" kind;
-  (match int_of_string_opt v with
-  | Some v when v = version -> ()
-  | Some v ->
-      corrupt "unsupported %s version %d (this build reads %d)" kind v version
-  | None -> corrupt "malformed header: version %S is not a number" v);
-  let len =
-    (* canonical decimal only: [int_of_string] also accepts "0x..",
-       "+5", "1_0" — leaving those re-parseable would let a damaged
-       header alias an undamaged one *)
-    match int_of_string_opt len with
-    | Some n when n >= 0 && String.equal len (string_of_int n) -> n
-    | _ -> corrupt "malformed header: payload length %S" len
-  in
-  if String.length body < len then
+  let head, crc, len = parse_header (String.sub image 0 nl) in
+  check_version ~magic ~version ~kind head;
+  let body = String.length image - nl - 1 in
+  if body < len then
     corrupt "truncated %s: header promises %d payload bytes, found %d" kind len
-      (String.length body);
-  if String.length body > len then
+      body;
+  if body > len then
     corrupt "malformed %s: %d bytes beyond the declared payload" kind
-      (String.length body - len);
-  let expected =
-    (* canonical lowercase %08lx only: hex parsing is case-insensitive,
-       so without this a flipped case bit in a hex digit would still be
-       accepted — and "any single bit flip is rejected" is a contract
-       the protocol fuzz tests hold us to *)
-    match Int32.of_string_opt ("0x" ^ crc) with
-    | Some c when String.equal crc (Printf.sprintf "%08lx" c) -> c
-    | _ -> corrupt "malformed header: checksum %S is not canonical hex" crc
-  in
-  let actual = crc32 body in
-  if not (Int32.equal expected actual) then
-    corrupt "checksum mismatch: header says %08lx, payload hashes to %08lx"
-      expected actual;
-  body
+      (body - len);
+  let payload = String.sub image (nl + 1) len in
+  check_crc crc payload;
+  payload
 
 (* ------------------------------------------------------------------ *)
 (* file I/O through the injectable fault seam                          *)

@@ -62,7 +62,6 @@ val w_opt : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a option -> unit
 type cursor = { buf : string; mutable pos : int }
 
 val cursor : string -> cursor
-val at_end : cursor -> bool
 val r_line : cursor -> string
 val r_int : cursor -> int
 val r_float : cursor -> float
@@ -70,22 +69,71 @@ val r_str : cursor -> string
 val r_list : cursor -> (cursor -> 'a) -> 'a list
 val r_opt : cursor -> (cursor -> 'a) -> 'a option
 
-(** {1 Image framing}
+val expect_end : cursor -> string -> unit
+(** [expect_end cur what] — the payload must be fully consumed;
+    [what] names the message in the error ("request", "WAL record").
+    @raise Corrupt on trailing bytes *)
 
-    A framed image is one header line
+(** {1 Frame headers}
 
-    {v <magic> <version> <crc32-hex> <payload-bytes> v}
+    Every checksummed unit the system writes — file images, network
+    messages, WAL records — starts with one header line
 
-    followed by exactly [<payload-bytes>] of payload. *)
+    {v <head> <crc32-hex> <payload-bytes> v}
+
+    that {!header} prints and {!parse_header} reads back.  Three shapes
+    are in use:
+
+    - {b file images and network frames}: [<head>] is
+      [<magic> <version>] and the payload follows the line — checkpoint
+      files ([LEGODB-CKPT 1]), storage snapshots ([LEGODB-SNAP 1]) and
+      every protocol message ([LEGODB-NET 1]).  {!frame}/{!unframe}
+      build and validate whole file images; the network front door
+      validates the same header incrementally as bytes arrive.
+    - {b WAL records}: [<head>] is a one-letter tag, [R] for a single
+      append or [G] for a commit group, and the payload is followed by
+      one ['\n'] terminator.
+    - {b the WAL file header}: the bare [LEGODB-WAL 1] line that opens
+      the log.  It carries no checksum or length, so only
+      {!check_version} applies to it.
+
+    The checksum field is always 8 lowercase hex digits and the length
+    canonical decimal; any other spelling of the same numbers is
+    rejected, so a single flipped bit can never parse back to the same
+    header. *)
+
+val header : string -> string -> string
+(** [header head payload] — the line ["<head> <crc32> <len>\n"] for
+    [payload] ([head] must not contain a newline). *)
+
+val parse_header : string -> string list * int32 * int
+(** [parse_header line] splits a header line (without its newline)
+    into the space-separated [<head>] tokens, the checksum and the
+    payload length.
+    @raise Corrupt when a field is missing, the checksum is not exactly
+    8 lowercase hex digits, or the length is not canonical decimal. *)
+
+val check_crc : int32 -> string -> unit
+(** [check_crc expected payload]
+    @raise Corrupt when [payload] does not hash to [expected]. *)
+
+val check_version :
+  magic:string -> version:int -> kind:string -> string list -> unit
+(** [check_version ~magic ~version ~kind head] accepts exactly the
+    head tokens [[magic; string_of_int version]].  [kind] names the
+    artifact in error messages ("checkpoint", "network frame", "WAL").
+    @raise Corrupt on a bad magic or an unsupported version, each
+    reported distinctly. *)
 
 val frame : magic:string -> version:int -> string -> string
-(** [frame ~magic ~version payload] — the full file image. *)
+(** [frame ~magic ~version payload] — the full file image: header line
+    then payload. *)
 
 val unframe : magic:string -> version:int -> kind:string -> string -> string
-(** Validate a header (magic, version, length, CRC) and return the
-    payload.  [kind] names the artifact in error messages ("checkpoint",
-    "storage snapshot", "WAL"), so truncated / bit-flipped /
-    wrong-version / wrong-magic images are each reported distinctly.
+(** Validate a file image's header (shape, magic, version, length,
+    CRC) and return the payload.  [kind] names the artifact in error
+    messages, so truncated / bit-flipped / wrong-version / wrong-magic
+    images are each reported distinctly.
     @raise Corrupt *)
 
 (** {1 File I/O with an injectable fault seam} *)

@@ -447,9 +447,7 @@ let r_state cur =
         let v = r_float cur in
         (k, v))
   in
-  if cur.Wire.pos <> String.length cur.Wire.buf then
-    corrupt "malformed payload: %d trailing bytes"
-      (String.length cur.Wire.buf - cur.Wire.pos);
+  Wire.expect_end cur "checkpoint";
   {
     strategy;
     kinds;

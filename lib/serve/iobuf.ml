@@ -51,17 +51,10 @@ let reserve t n =
       t.off <- 0
     end
 
-let add_substring t s ~pos ~len =
-  reserve t len;
-  Bytes.blit_string s pos t.data (t.off + t.len) len;
-  t.len <- t.len + len
-
-let add_string t s = add_substring t s ~pos:0 ~len:(String.length s)
-
-let add_buffer t b =
-  let n = Buffer.length b in
+let add_string t s =
+  let n = String.length s in
   reserve t n;
-  Buffer.blit b 0 t.data (t.off + t.len) n;
+  Bytes.blit_string s 0 t.data (t.off + t.len) n;
   t.len <- t.len + n
 
 let reset_storage t =
@@ -89,19 +82,26 @@ let of_string s =
   add_string t s;
   t
 
+let scanned t = t.scanned
+
+(* the scan stops at the live window's end: the bytes past it are stale
+   or uninitialized capacity, and scanning them would make a re-poll
+   cost the buffer's capacity instead of the bytes that just arrived *)
+let rec scan t i =
+  if i >= t.len then None
+  else if Bytes.unsafe_get t.data (t.off + i) = '\n' then Some i
+  else scan t (i + 1)
+
 let find_newline t =
-  if t.scanned >= t.len then None
-  else
-    match Bytes.index_from_opt t.data (t.off + t.scanned) '\n' with
-    | Some abs when abs < t.off + t.len ->
-        let pos = abs - t.off in
-        (* park the watermark on the newline: re-finding it while the
-           frame's payload trickles in is O(1) *)
-        t.scanned <- pos;
-        Some pos
-    | _ ->
-        t.scanned <- t.len;
-        None
+  match scan t t.scanned with
+  | Some pos ->
+      (* park the watermark on the newline: re-finding it while the
+         frame's payload trickles in is O(1) *)
+      t.scanned <- pos;
+      Some pos
+  | None ->
+      t.scanned <- t.len;
+      None
 
 let read_from ?(chunk = 65536) t fd =
   reserve t chunk;

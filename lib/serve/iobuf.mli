@@ -13,7 +13,7 @@
       ever examined twice.
     - output: [out <- unsent_tail ^ fresh] re-copied the unsent tail on
       every partial write.  Here {!write_to} advances the same offset
-      and {!add_buffer}/{!add_string} append encoded frames in place.
+      and {!add_string} appends encoded frames in place.
 
     Buffers compact (blit live bytes to the front) only when a reserve
     would otherwise grow the array, and shrink back to a bounded
@@ -46,11 +46,6 @@ val sub : t -> pos:int -> len:int -> string
     @raise Invalid_argument when the range leaves the live window. *)
 
 val add_string : t -> string -> unit
-val add_substring : t -> string -> pos:int -> len:int -> unit
-
-val add_buffer : t -> Buffer.t -> unit
-(** Append a [Buffer]'s contents with one blit — no intermediate
-    string. *)
 
 val consume : t -> int -> unit
 (** Drop [n] bytes off the front (offset arithmetic, no copying).  A
@@ -63,8 +58,14 @@ val clear : t -> unit
 val find_newline : t -> int option
 (** Position of the first ['\n'] among the live bytes, relative to the
     first live byte — or [None].  Scanning resumes from the previous
-    call's watermark, so repeated calls over a growing buffer examine
-    each byte exactly once. *)
+    call's watermark and stops at the end of the live bytes, so
+    repeated calls over a growing buffer examine each live byte
+    exactly once and never touch the spare capacity behind it. *)
+
+val scanned : t -> int
+(** The scan watermark: how many leading live bytes {!find_newline}
+    has already found free of ['\n'] — {!length} after a miss, the
+    newline's position after a hit. *)
 
 val read_from : ?chunk:int -> t -> Unix.file_descr -> int
 (** Read up to [chunk] (default 64 KiB) bytes from [fd] directly into

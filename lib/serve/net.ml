@@ -75,6 +75,7 @@ type response =
 
 let net_magic = "LEGODB-NET"
 let net_version = 1
+let net_head = Printf.sprintf "%s %d" net_magic net_version
 
 (* a frame header is four short tokens; anything longer without a
    newline is garbage, not a slow sender *)
@@ -110,9 +111,7 @@ let decode_request payload =
     | "ping" -> Ping
     | s -> Wire.corrupt "unknown request tag %S" s
   in
-  if not (Wire.at_end cur) then
-    Wire.corrupt "malformed payload: %d trailing bytes in request"
-      (String.length payload - cur.Wire.pos);
+  Wire.expect_end cur "request";
   req
 
 let w_row b row = Wire.w_list b Storage.write_value row
@@ -241,9 +240,7 @@ let decode_response payload =
     | "error" -> Error_reply (Wire.r_str cur)
     | s -> Wire.corrupt "unknown response tag %S" s
   in
-  if not (Wire.at_end cur) then
-    Wire.corrupt "malformed payload: %d trailing bytes in response"
-      (String.length payload - cur.Wire.pos);
+  Wire.expect_end cur "response";
   resp
 
 (* ------------------------------------------------------------------ *)
@@ -251,16 +248,13 @@ let decode_response payload =
 (* ------------------------------------------------------------------ *)
 
 (* Pull one frame off the front of [buf], consuming its bytes on
-   success.  The length field is validated textually (canonical
-   decimal, bounded) before any payload is awaited, so a flipped
-   length digit is caught by the CRC (the frame slice it delimits
-   hashes wrong) or by the bound — never by an unbounded buffer.  The
-   checksum is compared against its canonical lowercase rendering
-   only, same as {!Wire.unframe}: hex parsing is case-insensitive, so
-   anything laxer would let a flipped case bit alias the same
-   checksum.  [`Partial] means the bytes so far are a legal prefix:
-   keep reading (and [Iobuf.find_newline]'s watermark makes the
-   re-poll O(1), not a rescan). *)
+   success.  The header is validated ({!Wire.parse_header}, bounded
+   length, magic, version) as soon as its line is complete, before any
+   payload is awaited, so a flipped length digit is caught by the CRC
+   (the frame slice it delimits hashes wrong) or by the bound — never
+   by an unbounded buffer.  [`Partial] means the bytes so far are a
+   legal prefix: keep reading (and [Iobuf.find_newline]'s watermark
+   makes the re-poll O(1), not a rescan). *)
 let extract_frame buf =
   match Iobuf.find_newline buf with
   | None ->
@@ -268,63 +262,22 @@ let extract_frame buf =
         `Broken "malformed frame: no header line"
       else `Partial
   | Some nl -> (
-      let line = Iobuf.sub buf ~pos:0 ~len:nl in
-      let broken () =
-        let shown =
-          if String.length line <= 64 then line else String.sub line 0 64
-        in
-        `Broken (Printf.sprintf "malformed frame header %S" shown)
-      in
-      match String.split_on_char ' ' line with
-      | [ m; v; crc_s; len_s ] when String.equal m net_magic -> (
-          match int_of_string_opt len_s with
-          | Some n
-            when n >= 0 && n <= max_payload
-                 && String.equal len_s (string_of_int n) -> (
-              let total = nl + 1 + n in
-              if Iobuf.length buf < total then `Partial
-              else
-                match int_of_string_opt v with
-                | None ->
-                    `Broken
-                      (Printf.sprintf
-                         "malformed header: version %S is not a number" v)
-                | Some ver when ver <> net_version ->
-                    `Broken
-                      (Printf.sprintf
-                         "unsupported network frame version %d (this build \
-                          reads %d)"
-                         ver net_version)
-                | Some _ -> (
-                    let expected =
-                      match Int32.of_string_opt ("0x" ^ crc_s) with
-                      | Some c
-                        when String.equal crc_s (Printf.sprintf "%08lx" c) ->
-                          Some c
-                      | _ -> None
-                    in
-                    match expected with
-                    | None ->
-                        `Broken
-                          (Printf.sprintf
-                             "malformed header: checksum %S is not canonical \
-                              hex"
-                             crc_s)
-                    | Some expected ->
-                        let payload = Iobuf.sub buf ~pos:(nl + 1) ~len:n in
-                        let actual = Wire.crc32 payload in
-                        if Int32.equal expected actual then begin
-                          Iobuf.consume buf total;
-                          `Frame payload
-                        end
-                        else
-                          `Broken
-                            (Printf.sprintf
-                               "checksum mismatch: header says %08lx, \
-                                payload hashes to %08lx"
-                               expected actual)))
-          | _ -> broken ())
-      | _ -> broken ())
+      try
+        let head, crc, len = Wire.parse_header (Iobuf.sub buf ~pos:0 ~len:nl) in
+        Wire.check_version ~magic:net_magic ~version:net_version
+          ~kind:"network frame" head;
+        if len > max_payload then
+          Wire.corrupt "malformed header: payload length %d exceeds %d" len
+            max_payload;
+        let total = nl + 1 + len in
+        if Iobuf.length buf < total then `Partial
+        else begin
+          let payload = Iobuf.sub buf ~pos:(nl + 1) ~len in
+          Wire.check_crc crc payload;
+          Iobuf.consume buf total;
+          `Frame payload
+        end
+      with Wire.Corrupt m -> `Broken m)
 
 (* string-oriented wrapper over the same parser, kept so the
    protocol-fuzz tests exercise exactly the production path *)
@@ -612,9 +565,7 @@ let serve ?(host = "127.0.0.1") ?(group_commit_ms = 5) ?(max_group = 64)
         Buffer.clear scratch;
         write_response_payload scratch resp;
         let payload = Buffer.contents scratch in
-        Iobuf.add_string out
-          (Printf.sprintf "%s %d %08lx %d\n" net_magic net_version
-             (Wire.crc32 payload) (String.length payload));
+        Iobuf.add_string out (Wire.header net_head payload);
         Iobuf.add_string out payload
       in
       let drain c =

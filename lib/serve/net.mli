@@ -12,9 +12,11 @@
     {v LEGODB-NET 1 <crc32-hex> <payload-bytes> v}
 
     followed by exactly [<payload-bytes>] of payload, CRC-checked
-    before any decoding — the same frame shape as the WAL's records
-    and the snapshot files, so a bit flip anywhere in a frame is a
-    checksum mismatch, never a mis-parsed request.  Payloads use the
+    before any decoding.  The header's format and validation rules
+    belong to {!Legodb_wire.Wire} (see its "Frame headers" section),
+    shared with the WAL's records and the snapshot files, so a bit
+    flip anywhere in a frame is a rejected header or a checksum
+    mismatch, never a mis-parsed request.  Payloads use the
     shared token/length-prefix codec; queries travel as XQuery source
     text and appends as XML source text (both parsed server-side, so a
     malformed body is a structured {!Error_reply}, not a dead server).
@@ -125,8 +127,10 @@ val extract_frame : Iobuf.t -> [ `Frame of string | `Partial | `Broken of string
     bytes have been consumed from the buffer; [`Partial] means the
     bytes so far are a legal prefix (keep reading — the buffer's scan
     watermark makes the re-poll O(1)); [`Broken] is a framing defect —
-    bad magic, impossible length, checksum mismatch — with a one-line
-    diagnosis. *)
+    bad magic or version, a non-canonical or impossible header field,
+    checksum mismatch — with a one-line diagnosis.  Header defects are
+    reported as soon as the header line is complete, without waiting
+    for the payload. *)
 
 val extract : string -> [ `Frame of string * string | `Partial | `Broken of string ]
 (** String-oriented wrapper over {!extract_frame} ([`Frame (payload,

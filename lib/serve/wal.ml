@@ -5,7 +5,6 @@ module Checkpoint = Legodb_search.Checkpoint
 
 exception Corrupt of string
 
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let wrap_corrupt f x = try f x with Wire.Corrupt m -> raise (Corrupt m)
 let snapshot_file dir = Filename.concat dir "snapshot.legodb"
 let wal_file dir = Filename.concat dir "wal.legodb"
@@ -39,16 +38,11 @@ let encode_payload r =
   Buffer.contents b
 
 let decode_payload payload =
-  wrap_corrupt
-    (fun payload ->
-      let cur = Wire.cursor payload in
-      let seq = Wire.r_int cur in
-      let rows = Wire.r_list cur r_table in
-      if not (Wire.at_end cur) then
-        Wire.corrupt "malformed payload: %d trailing bytes in WAL record"
-          (String.length payload - cur.Wire.pos);
-      { seq; rows })
-    payload
+  let cur = Wire.cursor payload in
+  let seq = Wire.r_int cur in
+  let rows = Wire.r_list cur r_table in
+  Wire.expect_end cur "WAL record";
+  { seq; rows }
 
 (* One record on disk: a [R <crc32> <len>] line, [<len>] payload bytes,
    a ['\n'] terminator.  The whole thing goes to the kernel in a single
@@ -56,8 +50,7 @@ let decode_payload payload =
    a strict prefix — exactly what replay classifies as a torn tail. *)
 let encode_record r =
   let payload = encode_payload r in
-  Printf.sprintf "R %08lx %d\n%s\n" (Wire.crc32 payload)
-    (String.length payload) payload
+  Wire.header "R" payload ^ payload ^ "\n"
 
 (* A group commit unit: [G <crc32> <len>], then a payload carrying the
    first member's sequence number, the member count, and each member's
@@ -84,26 +77,20 @@ let encode_group = function
   | [ r ] -> encode_record r
   | members ->
       let payload = encode_group_payload members in
-      Printf.sprintf "G %08lx %d\n%s\n" (Wire.crc32 payload)
-        (String.length payload) payload
+      Wire.header "G" payload ^ payload ^ "\n"
 
 let decode_group_payload payload =
-  wrap_corrupt
-    (fun payload ->
-      let cur = Wire.cursor payload in
-      let first = Wire.r_int cur in
-      let count = Wire.r_int cur in
-      if count < 2 then
-        Wire.corrupt "malformed payload: WAL group of %d records" count;
-      let members =
-        List.init count (fun i ->
-            { seq = first + i; rows = Wire.r_list cur r_table })
-      in
-      if not (Wire.at_end cur) then
-        Wire.corrupt "malformed payload: %d trailing bytes in WAL group"
-          (String.length payload - cur.Wire.pos);
-      members)
-    payload
+  let cur = Wire.cursor payload in
+  let first = Wire.r_int cur in
+  let count = Wire.r_int cur in
+  if count < 2 then
+    Wire.corrupt "malformed payload: WAL group of %d records" count;
+  let members =
+    List.init count (fun i ->
+        { seq = first + i; rows = Wire.r_list cur r_table })
+  in
+  Wire.expect_end cur "WAL group";
+  members
 
 let record_equal a b =
   a.seq = b.seq
@@ -147,20 +134,16 @@ type replay = {
    differs is corruption. *)
 let check_header s =
   let n = String.length s in
-  if n >= header_bytes then begin
-    let got = String.sub s 0 header_bytes in
-    if String.equal got wal_header then `Ok
-    else
-      (* distinguish wrong magic from wrong version for the report *)
-      let magic_len = String.length wal_magic in
-      if n >= magic_len && String.equal (String.sub s 0 magic_len) wal_magic
-      then
-        corrupt "unsupported WAL version (this build reads %s)"
-          (String.trim wal_header)
-      else corrupt "bad magic: not a LegoDB WAL"
-  end
-  else if String.equal s (String.sub wal_header 0 n) then `Torn
-  else corrupt "bad magic: not a LegoDB WAL"
+  if n < header_bytes && String.equal s (String.sub wal_header 0 n) then `Torn
+  else
+    match String.index_opt s '\n' with
+    | None -> raise (Corrupt "bad magic: not a LegoDB WAL")
+    | Some nl ->
+        wrap_corrupt
+          (Wire.check_version ~magic:wal_magic ~version:wal_version
+             ~kind:"WAL")
+          (String.split_on_char ' ' (String.sub s 0 nl));
+        `Ok
 
 let replay_string s =
   let len = String.length s in
@@ -180,53 +163,38 @@ let replay_string s =
          while !pos < len && !torn = None do
            match String.index_from_opt s !pos '\n' with
            | None -> stop "torn record header"
-           | Some nl -> (
-               let line = String.sub s !pos (nl - !pos) in
+           | Some nl ->
                (* the line is complete (it has its newline), so a shape
-                  failure is corruption, not a torn write.  Fields are
-                  validated textually — canonical length, exact CRC hex
-                  — so no bit flip survives by parsing to the same
-                  values (hex case, leading zeros) *)
-               match String.split_on_char ' ' line with
-               | [ (("R" | "G") as tag); crc_hex; len_s ] ->
-                   let plen =
-                     match int_of_string_opt len_s with
-                     | Some n when n >= 0 && String.equal len_s (string_of_int n)
-                       ->
-                         n
-                     | _ -> corrupt "malformed WAL record header %S" line
-                   in
-                   if nl + 1 + plen + 1 > len then stop "torn record payload"
-                   else begin
-                     let payload = String.sub s (nl + 1) plen in
-                     if s.[nl + 1 + plen] <> '\n' then
-                       corrupt
-                         "malformed WAL record: missing terminator after \
-                          payload";
-                     let actual = Printf.sprintf "%08lx" (Wire.crc32 payload) in
-                     if not (String.equal actual crc_hex) then
-                       corrupt
-                         "checksum mismatch: WAL record header says %s, \
-                          payload hashes to %s"
-                         crc_hex actual;
-                     let members =
-                       if String.equal tag "R" then [ decode_payload payload ]
-                       else decode_group_payload payload
-                     in
-                     (* the first member of a commit unit must extend the
-                        log contiguously; members within a unit are
-                        contiguous by construction (decode derives their
-                        seqs from the first) *)
-                     (match (members, !records) with
-                     | r :: _, prev :: _ when r.seq <> prev.seq + 1 ->
-                         corrupt
-                           "non-contiguous WAL: record %d follows record %d"
-                           r.seq prev.seq
-                     | _ -> ());
-                     List.iter (fun r -> records := r :: !records) members;
-                     pos := nl + 1 + plen + 1
-                   end
-               | _ -> corrupt "malformed WAL record header %S" line)
+                  failure is corruption, not a torn write *)
+               let line = String.sub s !pos (nl - !pos) in
+               let head, crc, plen = Wire.parse_header line in
+               let decode =
+                 match head with
+                 | [ "R" ] -> fun payload -> [ decode_payload payload ]
+                 | [ "G" ] -> decode_group_payload
+                 | _ -> Wire.corrupt "malformed WAL record header %S" line
+               in
+               if nl + 1 + plen + 1 > len then stop "torn record payload"
+               else begin
+                 let payload = String.sub s (nl + 1) plen in
+                 if s.[nl + 1 + plen] <> '\n' then
+                   Wire.corrupt
+                     "malformed WAL record: missing terminator after payload";
+                 Wire.check_crc crc payload;
+                 let members = decode payload in
+                 (* the first member of a commit unit must extend the
+                    log contiguously; members within a unit are
+                    contiguous by construction (decode derives their
+                    seqs from the first) *)
+                 (match (members, !records) with
+                 | r :: _, prev :: _ when r.seq <> prev.seq + 1 ->
+                     Wire.corrupt
+                       "non-contiguous WAL: record %d follows record %d"
+                       r.seq prev.seq
+                 | _ -> ());
+                 List.iter (fun r -> records := r :: !records) members;
+                 pos := nl + 1 + plen + 1
+               end
          done
        with Wire.Corrupt m -> raise (Corrupt m));
       { records = List.rev !records; dropped_bytes = !dropped; torn = !torn }
@@ -377,10 +345,7 @@ let load_snapshot path =
         wrap_corrupt
           (fun db ->
             Storage.read_rows cur db;
-            if not (Wire.at_end cur) then
-              Wire.corrupt
-                "malformed payload: %d trailing bytes in storage snapshot"
-                (String.length cur.Wire.buf - cur.Wire.pos))
+            Wire.expect_end cur "storage snapshot")
           db
       in
       { s_schema; s_ordered; s_last_seq; s_fill })

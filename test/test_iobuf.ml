@@ -31,6 +31,20 @@ let suite =
         check_string "tail survives" "h" (Iobuf.contents b);
         Iobuf.clear b;
         check_bool "clear empties" true (Iobuf.is_empty b));
+    case "the newline scan stops at the live window" (fun () ->
+        let b = Iobuf.create 64 in
+        (* drain a line so its '\n' stays behind in the spare capacity,
+           then reuse the front of the storage for two fresh bytes *)
+        Iobuf.add_string b "abc\nxyz";
+        Iobuf.consume b 7;
+        Iobuf.add_string b "ab";
+        check_bool "stale newline not found" true (Iobuf.find_newline b = None);
+        check_int "watermark ends at the live length" (Iobuf.length b)
+          (Iobuf.scanned b);
+        Iobuf.add_string b "\n";
+        check_bool "a live newline is found" true
+          (Iobuf.find_newline b = Some 2);
+        check_int "watermark parks on it" 2 (Iobuf.scanned b));
     case "steady traffic compacts in place instead of growing" (fun () ->
         let b = Iobuf.create 16 in
         for i = 0 to 9_999 do
