@@ -712,10 +712,14 @@ let optimizer_perf ?(smoke = false) () =
     "\nPer-candidate optimizer: mask-indexed DP vs frozen reference\n\
      ============================================================";
   let schema = annotated Imdb.Stats.full in
+  (* all-outlined is where the DP works hardest: Q12 is a
+     10-relation block there, and Q13's 12- and 13-relation blocks take
+     the greedy path *)
   let configs =
     [
       ("inlined", Init.all_inlined schema);
       ("outlined", Init.normalize schema);
+      ("all-outlined", Init.all_outlined schema);
     ]
   in
   let workloads =
@@ -811,8 +815,8 @@ let optimizer_perf ?(smoke = false) () =
           in
           Hashtbl.replace gate wname (fa +. t_fast, ra +. t_ref);
           Printf.printf
-            "%-9s %-7s  %3d blocks (<= %d rels)  optimize %8.2f ms  reference \
-             %8.2f ms  speedup %5.2fx\n\
+            "%-12s %-7s  %3d blocks (<= %2d rels)  optimize %8.2f ms  \
+             reference %8.2f ms  speedup %5.2fx\n\
              %!"
             cname wname blocks max_rels (1e3 *. t_fast) (1e3 *. t_ref)
             (t_ref /. t_fast);

@@ -1,6 +1,7 @@
 (* The public facade: one module to open, re-exporting every component
    library under a short name, plus the one-call design API. *)
 
+module Clock = Legodb_clock.Clock
 module Wire = Legodb_wire.Wire
 module Xml = Legodb_xml.Xml
 module Xml_parse = Legodb_xml.Xml_parse

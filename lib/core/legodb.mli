@@ -15,6 +15,7 @@
 
 (** {1 Components} *)
 
+module Clock = Legodb_clock.Clock
 module Wire = Legodb_wire.Wire
 module Xml = Legodb_xml.Xml
 module Xml_parse = Legodb_xml.Xml_parse

@@ -5,14 +5,16 @@ type result = { plan : Physical.plan; rows : float; cost : Cost.t }
 let dp_limit = 10
 
 (* The join-ordering core below is the mask-indexed fast path: alias
-   sets are int bitmasks, per-split questions (connectivity, spanning
-   predicates, subtree widths, subset cardinalities, plan signatures)
-   are answered from per-block precomputed arrays, and the DP walks
-   masks by a single ascending scan.  It must stay bit-identical to
-   {!Reference} — same best plan, same cost floats — which pins down
-   every float association order: see the comments on [extend_width]
-   and [optimize_dp].  The differential suite in
-   test/test_optimizer_perf.ml holds the two implementations together. *)
+   sets are int bitmasks, per-split questions (connectivity, subtree
+   widths, subset cardinalities, index-NL options) are answered from
+   per-block precomputed arrays, each candidate split is priced as
+   plain floats, and only a mask's winning split becomes a plan.  The
+   DP walks masks by a single ascending scan.  It must stay
+   bit-identical to {!Reference} — same best plan, same cost floats —
+   which pins down every float association order: see the comments on
+   [extend_width], [cost_split] and [optimize_dp].  The differential
+   suite in test/test_optimizer_perf.ml holds the two implementations
+   together. *)
 
 (* ------------------------------------------------------------------ *)
 (* access-path selection                                               *)
@@ -55,9 +57,10 @@ let access_signature (rel : Logical.relation) filters access =
    join subtrees across blocks (e.g. the actor⋈played⋈director⋈directed
    core repeated per partition) are also recognized as shared.  This
    recursive form is the specification; the DP never calls it per
-   candidate — each [entry] interns its signature and a join's
-   signature is assembled in O(children) from the children's interned
-   strings (see [join_signature]). *)
+   candidate — each base entry, greedy step and DP mask interns its
+   signature lazily, and a join's signature is assembled in
+   O(children) from the children's interned strings (see
+   [join_signature]). *)
 let rec plan_signature plan =
   match plan with
   | Physical.Scan { rel; access; filters } ->
@@ -86,13 +89,38 @@ let rec plan_signature plan =
           (List.sort compare (List.map cond_sig conds @ List.map extra_sig extra))
       ^ ")"
 
-let rec register_accesses shared plan =
-  Hashtbl.replace shared (plan_signature plan) ();
-  match plan with
-  | Physical.Scan _ -> ()
-  | Physical.Join { left; right; _ } ->
-      register_accesses shared left;
-      register_accesses shared right
+(* The multiset of tables under a join, as a cache key: equal
+   signatures imply equal table multisets, so a join whose key is not
+   in the shared cache cannot have its signature there either, and the
+   DP need not build one.  [iter] must present the table names in
+   [String.compare] order; the key is built in [buf].  The NUL before
+   each name keeps keys apart from signatures, which begin with a
+   table name or "join(". *)
+let table_key buf iter =
+  Buffer.clear buf;
+  iter (fun name ->
+      Buffer.add_char buf '\000';
+      Buffer.add_string buf name);
+  Buffer.contents buf
+
+let register_accesses shared plan =
+  let buf = Buffer.create 64 in
+  let rec go plan =
+    Hashtbl.replace shared (plan_signature plan) ();
+    match plan with
+    | Physical.Scan _ -> ()
+    | Physical.Join { left; right; _ } ->
+        let tables =
+          List.sort String.compare
+            (List.map
+               (fun (r : Logical.relation) -> r.table)
+               (Physical.relations plan))
+        in
+        Hashtbl.replace shared (table_key buf (fun f -> List.iter f tables)) ();
+        go left;
+        go right
+  in
+  go plan
 
 (* ------------------------------------------------------------------ *)
 (* per-block context: aliases as integer ids, preds as bitmasks        *)
@@ -121,6 +149,7 @@ type ctx = {
   c_block : Logical.block;
   c_names : string array;  (* alias by id *)
   c_tnames : string array;  (* logical table name by id, for signatures *)
+  c_by_table : int array;  (* alias ids in [table_key] order *)
   c_preds : Logical.pred array;  (* block.preds, in block order *)
   c_pmask : int array;  (* alias bitmask of each pred *)
   c_pjoin : bool array;  (* pred spans two distinct aliases *)
@@ -139,6 +168,8 @@ let context params env (block : Logical.block) =
       (List.map (fun (r : Logical.relation) -> r.table) block.relations)
   in
   let n = Array.length names in
+  let by_table = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> String.compare tnames.(a) tnames.(b)) by_table;
   let preds = Array.of_list block.preds in
   let pmask =
     Array.map
@@ -189,6 +220,7 @@ let context params env (block : Logical.block) =
     c_block = block;
     c_names = names;
     c_tnames = tnames;
+    c_by_table = by_table;
     c_preds = preds;
     c_pmask = pmask;
     c_pjoin = pjoin;
@@ -207,11 +239,10 @@ type entry = {
   e_cost : Cost.t;
   e_mask : int;  (* the subtree's aliases, as a bitmask *)
   e_width : float;  (* subtree width, fold-accumulated in plan order *)
-  e_sig : string Lazy.t;  (* interned signature; forced only with ?shared *)
+  e_sig : string Lazy.t;
+      (* interned signature; forced only when a join over this subtree
+         may be in the shared cache (see [table_key]) *)
 }
-
-let plan_aliases plan =
-  List.map (fun (r : Logical.relation) -> r.alias) (Physical.relations plan)
 
 (* Subtree width of [w0]'s plan extended by [plan]'s relations.  The
    reference folds [fun w a -> w +. carry a +. 8.] over the joined
@@ -240,17 +271,6 @@ let spanning_preds ctx lmask rmask =
     then out := ctx.c_preds.(i) :: !out
   done;
   !out
-
-let connected ctx lmask rmask =
-  let n = Array.length ctx.c_preds in
-  let rec go i =
-    i < n
-    && ((ctx.c_pjoin.(i)
-        && ctx.c_pmask.(i) land lmask <> 0
-        && ctx.c_pmask.(i) land rmask <> 0)
-       || go (i + 1))
-  in
-  go 0
 
 let split_conds ctx lmask preds =
   (* equality column pairs oriented left-first; everything else extra *)
@@ -363,272 +383,494 @@ let access_plan ?shared ctx (rel : Logical.relation) =
     e_sig = lazy (plan_signature plan);
   }
 
-let join_candidates ?shared ctx left right rows_out =
-  let params = ctx.c_params in
-  let preds = spanning_preds ctx left.e_mask right.e_mask in
-  let conds, extra = split_conds ctx left.e_mask preds in
-  let jmask = left.e_mask lor right.e_mask in
-  let jwidth = extend_width ctx left.e_width right.e_plan in
-  (* one signature per split, shared by every join method (the
-     signature ignores the method); with a cache it is needed for the
-     probe anyway, without one it stays an unforced suspension *)
-  let jsig =
-    match shared with
-    | Some _ ->
-        Lazy.from_val
-          (join_signature ctx (Lazy.force left.e_sig) (Lazy.force right.e_sig)
-             conds extra)
-    | None ->
-        lazy
-          (join_signature ctx (Lazy.force left.e_sig) (Lazy.force right.e_sig)
-             conds extra)
-  in
-  let out = ref [] in
-  let push jm cost =
-    out :=
-      {
-        e_plan =
-          Physical.Join
-            { jm; left = left.e_plan; right = right.e_plan; conds; extra };
-        e_rows = rows_out;
-        e_cost = cost;
-        e_mask = jmask;
-        e_width = jwidth;
-        e_sig = jsig;
-      }
-      :: !out
-  in
-  (* a join subtree already computed by an earlier block of the same
-     query is reused from the buffer pool: CPU to re-emit, no I/O *)
-  (match shared with
-  | Some cache when Hashtbl.mem cache (Lazy.force jsig) ->
-      push Physical.Hash_join
-        { Cost.seeks = 0.; pages_read = 0.; pages_written = 0.; cpu = rows_out }
-  | _ -> ());
-  (* hash join: build the right input, probe with the left *)
-  let build_pages = Cost.pages params (right.e_rows *. right.e_width) in
-  let spill =
-    if build_pages > params.Cost.memory_pages then
-      let probe_pages = Cost.pages params (left.e_rows *. left.e_width) in
-      {
-        Cost.seeks = 2.;
-        pages_read = build_pages +. probe_pages;
-        pages_written = build_pages +. probe_pages;
-        cpu = 0.;
-      }
-    else Cost.zero
-  in
-  push Physical.Hash_join
-    (Cost.add (Cost.add left.e_cost right.e_cost)
-       (Cost.add spill
-          {
-            Cost.seeks = 0.;
-            pages_read = 0.;
-            pages_written = 0.;
-            cpu = left.e_rows +. right.e_rows +. rows_out;
-          }));
-  (* index nested loops: right must be a single base relation with an
-     index on a join column *)
-  (if popcount right.e_mask = 1 && conds <> [] then begin
-     let rid = top_bit right.e_mask in
-     let ralias = ctx.c_names.(rid) in
-     let tbl = Estimate.table_at ctx.c_env rid in
-     let indexed_cond =
-       List.find_opt
-         (fun ((_, _), (ra2, rc)) ->
-           String.equal ra2 ralias && Rschema.has_index tbl rc)
-         conds
-     in
-     match indexed_cond with
-     | Some (_, (_, rcol)) ->
-         (* tuples fetched per probe are governed by the join key's
-            distinct count — local filters are applied only after the
-            fetch *)
-         let m =
-           tbl.card
-           /. Float.max 1. (Rschema.column tbl rcol).Rschema.stats.distinct
-         in
-         let clustered = String.equal rcol tbl.key in
-         let per_probe =
-           if clustered then
-             {
-               Cost.seeks = 1.;
-               pages_read =
-                 Float.max 1.
-                   (ceil (m *. Rschema.row_width tbl /. params.Cost.page_size));
-               pages_written = 0.;
-               cpu = 1. +. m;
-             }
-           else
-             {
-               Cost.seeks = 1. +. Float.max 0. (m -. 1.);
-               pages_read = Float.max 1. m;
-               pages_written = 0.;
-               cpu = 1. +. m;
-             }
-         in
-         push
-           (Physical.Index_nl { column = rcol })
-           (Cost.add left.e_cost
-              (Cost.add
-                 (Cost.scale left.e_rows per_probe)
-                 {
-                   Cost.seeks = 0.;
-                   pages_read = 0.;
-                   pages_written = 0.;
-                   cpu = rows_out;
-                 }))
-     | None -> ()
-   end);
-  (* naive nested loops *)
-  push Physical.Nl_join
-    (Cost.add left.e_cost
-       (Cost.add
-          (Cost.scale left.e_rows right.e_cost)
-          {
-            Cost.seeks = 0.;
-            pages_read = 0.;
-            pages_written = 0.;
-            cpu = left.e_rows *. right.e_rows;
-          }));
-  !out
+(* Every join's right input is a single base relation, in the
+   left-deep DP and in the greedy path alike, so what a split needs of
+   its right side is computed once per alias and block. *)
+type inl = {
+  i_other : int;  (* bit of the alias the join predicate pairs it with *)
+  i_jm : Physical.join_method;  (* [Index_nl] on the indexed column *)
+  i_probe : Cost.t;  (* cost of one index probe *)
+}
 
-let best_of params entries =
-  match entries with
-  | [] -> None
-  | e :: rest ->
-      Some
-        (List.fold_left
-           (fun best e ->
-             if Cost.total params e.e_cost < Cost.total params best.e_cost then e
-             else best)
-           e rest)
+type right = {
+  r_entry : entry;  (* the alias's access plan *)
+  r_build : float;  (* hash-join build pages *)
+  r_nbrs : int;  (* aliases sharing a join predicate with it *)
+  r_inl : inl array;
+      (* index-NL options in the order a split meets them: the
+         equality join predicates in reverse block order (the order
+         [split_conds] leaves its conds in) whose column on this side
+         is indexed.  A split takes the first whose other alias is on
+         its left. *)
+}
+
+(* tuples fetched per probe are governed by the join key's distinct
+   count — local filters are applied only after the fetch *)
+let probe_cost params (tbl : Rschema.table) rcol =
+  let m =
+    tbl.card /. Float.max 1. (Rschema.column tbl rcol).Rschema.stats.distinct
+  in
+  if String.equal rcol tbl.key then
+    {
+      Cost.seeks = 1.;
+      pages_read =
+        Float.max 1.
+          (ceil (m *. Rschema.row_width tbl /. params.Cost.page_size));
+      pages_written = 0.;
+      cpu = 1. +. m;
+    }
+  else
+    {
+      Cost.seeks = 1. +. Float.max 0. (m -. 1.);
+      pages_read = Float.max 1. m;
+      pages_written = 0.;
+      cpu = 1. +. m;
+    }
+
+let right_sides ctx (base : entry array) =
+  let params = ctx.c_params in
+  Array.mapi
+    (fun id (e : entry) ->
+      let bit = 1 lsl id in
+      let tbl = Estimate.table_at ctx.c_env id in
+      let nbrs = ref 0 and inl = ref [] in
+      Array.iteri
+        (fun i pm ->
+          if ctx.c_pjoin.(i) && pm land bit <> 0 then begin
+            let other = pm land lnot bit in
+            nbrs := !nbrs lor other;
+            let p = ctx.c_preds.(i) in
+            match (p.Logical.cmp, p.rhs) with
+            | Logical.C_eq, Logical.O_col (_, rc) ->
+                let col =
+                  if Estimate.alias_id ctx.c_env (fst p.lhs) = id then snd p.lhs
+                  else rc
+                in
+                if Rschema.has_index tbl col then
+                  inl :=
+                    {
+                      i_other = other;
+                      i_jm = Physical.Index_nl { column = col };
+                      i_probe = probe_cost params tbl col;
+                    }
+                    :: !inl
+            | _ -> ()
+          end)
+        ctx.c_pmask;
+      {
+        r_entry = e;
+        r_build = Cost.pages params (e.e_rows *. e.e_width);
+        r_nbrs = !nbrs;
+        r_inl = Array.of_list !inl;
+      })
+    base
+
+let rec first_inl (opts : inl array) lmask k =
+  if k >= Array.length opts then -1
+  else if opts.(k).i_other land lmask <> 0 then k
+  else first_inl opts lmask (k + 1)
+
+(* The split being costed and the best one seen so far, for one DP mask
+   or one greedy step.  Floats live in an all-float record, which OCaml
+   stores flat, so costing a split allocates nothing. *)
+type scalars = {
+  (* the left input of the split being costed *)
+  mutable l_seeks : float;
+  mutable l_pages_read : float;
+  mutable l_pages_written : float;
+  mutable l_cpu : float;
+  mutable l_rows : float;
+  mutable l_width : float;
+  mutable out_rows : float;  (* output rows of the split being costed *)
+  (* the best candidate so far *)
+  mutable b_total : float;
+  mutable b_seeks : float;
+  mutable b_pages_read : float;
+  mutable b_pages_written : float;
+  mutable b_cpu : float;
+  mutable b_rows : float;
+}
+
+type best = {
+  s : scalars;
+  mutable found : bool;
+  mutable b_right : int;  (* alias id of the best split's right input *)
+  mutable b_jm : Physical.join_method;
+}
+
+let new_best () =
+  {
+    s =
+      {
+        l_seeks = 0.;
+        l_pages_read = 0.;
+        l_pages_written = 0.;
+        l_cpu = 0.;
+        l_rows = 0.;
+        l_width = 0.;
+        out_rows = 0.;
+        b_total = 0.;
+        b_seeks = 0.;
+        b_pages_read = 0.;
+        b_pages_written = 0.;
+        b_cpu = 0.;
+        b_rows = 0.;
+      };
+    found = false;
+    b_right = 0;
+    b_jm = Physical.Nl_join;
+  }
+
+let load_entry st (e : entry) =
+  let s = st.s in
+  s.l_seeks <- e.e_cost.seeks;
+  s.l_pages_read <- e.e_cost.pages_read;
+  s.l_pages_written <- e.e_cost.pages_written;
+  s.l_cpu <- e.e_cost.cpu;
+  s.l_rows <- e.e_rows;
+  s.l_width <- e.e_width
+
+(* [Cost.total] of four unboxed components, in its association
+   order.  It is repeated here rather than called: across modules the
+   call is not inlined and would box all five floats per candidate. *)
+let[@inline] weigh (p : Cost.params) seeks pages_read pages_written cpu =
+  (p.seek_weight *. seeks)
+  +. (p.read_weight *. pages_read)
+  +. (p.write_weight *. pages_written)
+  +. (p.cpu_weight *. cpu)
+
+(* Keeps the first minimal candidate, like the reference DP: a later
+   candidate replaces the best only if the best is not at most its
+   cost.  The reference's greedy path replaces on a strictly smaller
+   cost instead, which selects the same candidate unless a total is
+   NaN. *)
+let[@inline] offer params st r jm seeks pages_read pages_written cpu =
+  let t = weigh params seeks pages_read pages_written cpu in
+  let s = st.s in
+  if (not st.found) || not (s.b_total <= t) then begin
+    st.found <- true;
+    st.b_right <- r;
+    st.b_jm <- jm;
+    s.b_total <- t;
+    s.b_seeks <- seeks;
+    s.b_pages_read <- pages_read;
+    s.b_pages_written <- pages_written;
+    s.b_cpu <- cpu;
+    s.b_rows <- s.out_rows
+  end
+
+let split_parts ctx lmask r =
+  split_conds ctx lmask (spanning_preds ctx lmask (1 lsl r))
+
+let no_hit (_ : int) = false
+
+(* Prices every join of the left input loaded into [st] (alias mask
+   [lmask]) with base relation [r], and offers each method to [st] in
+   the reference's candidate order: nested loops, index nested loops,
+   hash join, then — when [hit r] says an earlier block of the same
+   query already computed this join — the hash join reused from the
+   buffer pool.  Each field is the reference's [Cost.add]/[Cost.scale]
+   chain written out over floats in the same association order, [+.
+   0.] terms included (they decide the sign of a zero). *)
+let cost_split ctx rights st lmask r hit =
+  let params = ctx.c_params and s = st.s in
+  let rs = rights.(r) in
+  let rc = rs.r_entry.e_cost and rrows = rs.r_entry.e_rows in
+  let lrows = s.l_rows and rows_out = s.out_rows in
+  (* naive nested loops: the right input rescanned per left row *)
+  offer params st r Physical.Nl_join
+    (s.l_seeks +. ((lrows *. rc.seeks) +. 0.))
+    (s.l_pages_read +. ((lrows *. rc.pages_read) +. 0.))
+    (s.l_pages_written +. ((lrows *. rc.pages_written) +. 0.))
+    (s.l_cpu +. ((lrows *. rc.cpu) +. (lrows *. rrows)));
+  (* index nested loops: one index probe per left row *)
+  (let k = first_inl rs.r_inl lmask 0 in
+   if k >= 0 then begin
+     let o = rs.r_inl.(k) in
+     let pp = o.i_probe in
+     offer params st r o.i_jm
+       (s.l_seeks +. ((lrows *. pp.seeks) +. 0.))
+       (s.l_pages_read +. ((lrows *. pp.pages_read) +. 0.))
+       (s.l_pages_written +. ((lrows *. pp.pages_written) +. 0.))
+       (s.l_cpu +. ((lrows *. pp.cpu) +. rows_out))
+   end);
+  (* hash join: build the right input, probe with the left; both
+     spill when the build side exceeds memory *)
+  let spill = rs.r_build > params.Cost.memory_pages in
+  let spill_seeks = if spill then 2. else 0. in
+  let spill_pages =
+    if spill then rs.r_build +. Cost.pages params (lrows *. s.l_width) else 0.
+  in
+  offer params st r Physical.Hash_join
+    (s.l_seeks +. rc.seeks +. (spill_seeks +. 0.))
+    (s.l_pages_read +. rc.pages_read +. (spill_pages +. 0.))
+    (s.l_pages_written +. rc.pages_written +. (spill_pages +. 0.))
+    (s.l_cpu +. rc.cpu +. (0. +. (lrows +. rrows +. rows_out)));
+  if hit r then offer params st r Physical.Hash_join 0. 0. 0. rows_out
+
+(* the shared cache, when a join over [mask]'s aliases may be in it;
+   [buf] is scratch space for the mask's [table_key] *)
+let probe_for ctx buf shared mask =
+  match shared with
+  | Some cache as probe ->
+      let key =
+        table_key buf (fun f ->
+            Array.iter
+              (fun i -> if mask land (1 lsl i) <> 0 then f ctx.c_tnames.(i))
+              ctx.c_by_table)
+      in
+      if Hashtbl.mem cache key then probe else None
+  | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* join ordering                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let optimize_dp ?shared ctx base_entries =
-  let params = ctx.c_params in
+(* The DP's winners, indexed by alias mask: the cost fields, rows and
+   width as flat float arrays, and the split as its right alias and
+   join method.  A mask's left input is the mask minus its right
+   alias, so the winning plan is rebuilt from these only once, for the
+   full mask; signatures are built (and memoized) only for masks the
+   shared cache may hold. *)
+type dp = {
+  d_seeks : float array;
+  d_pages_read : float array;
+  d_pages_written : float array;
+  d_cpu : float array;
+  d_rows : float array;
+  d_width : float array;
+  d_right : int array;
+  d_jm : Physical.join_method array;
+  d_sig : string array;  (* "" until built; no signature is empty *)
+}
+
+(* The selectivity half of [Estimate.subset_rows] for the aliases in
+   [mask]: selectivities multiplied in block pred order, exactly like
+   the reference's fold over the predicates whose aliases all fall
+   inside the subset. *)
+let selectivity ctx mask =
+  let s = ref 1. in
+  for i = 0 to Array.length ctx.c_pmask - 1 do
+    let pm = ctx.c_pmask.(i) in
+    if pm land mask = pm then s := !s *. ctx.c_psel.(i)
+  done;
+  !s
+
+let optimize_dp ?shared ctx rights =
   let n = Array.length ctx.c_names in
   let full = (1 lsl n) - 1 in
-  let table = Array.make (full + 1) None in
-  List.iter (fun e -> table.(e.e_mask) <- Some e) base_entries;
+  let size = full + 1 in
+  let dp =
+    {
+      d_seeks = Array.make size 0.;
+      d_pages_read = Array.make size 0.;
+      d_pages_written = Array.make size 0.;
+      d_cpu = Array.make size 0.;
+      d_rows = Array.make size 0.;
+      d_width = Array.make size 0.;
+      d_right = Array.make size 0;
+      d_jm = Array.make size Physical.Nl_join;
+      d_sig = (if Option.is_some shared then Array.make size "" else [||]);
+    }
+  in
+  Array.iteri
+    (fun r rs ->
+      let m = 1 lsl r and e = rs.r_entry in
+      dp.d_seeks.(m) <- e.e_cost.seeks;
+      dp.d_pages_read.(m) <- e.e_cost.pages_read;
+      dp.d_pages_written.(m) <- e.e_cost.pages_written;
+      dp.d_cpu.(m) <- e.e_cost.cpu;
+      dp.d_rows.(m) <- e.e_rows;
+      dp.d_width.(m) <- e.e_width;
+      dp.d_right.(m) <- r)
+    rights;
+  let base_sig r = Lazy.force rights.(r).r_entry.e_sig in
+  let rec sig_of m =
+    let r = dp.d_right.(m) in
+    if m = 1 lsl r then base_sig r
+    else begin
+      if String.equal dp.d_sig.(m) "" then begin
+        let l = m land lnot (1 lsl r) in
+        let conds, extra = split_parts ctx l r in
+        dp.d_sig.(m) <- join_signature ctx (sig_of l) (base_sig r) conds extra
+      end;
+      dp.d_sig.(m)
+    end
+  in
   (* memoized Estimate.subset_rows, split into its two folds.  The
      clamped-card product over a mask's aliases in block order equals
      the product over the mask minus its top bit extended by the top
      alias (a left fold over a list extends over its last element), so
      one ascending pass fills the whole array. *)
-  let cards = Array.make (full + 1) 1. in
+  let cards = Array.make size 1. in
   for m = 1 to full do
     let top = top_bit m in
     cards.(m) <- cards.(m land lnot (1 lsl top)) *. ctx.c_card.(top)
   done;
-  let rows = Array.make (full + 1) Estimate.row_floor in
-  let rows_of m =
-    (* selectivities multiplied in block pred order, exactly like the
-       reference's fold over the predicates whose aliases all fall
-       inside the subset *)
-    let s = ref 1. in
-    Array.iteri
-      (fun i pm -> if pm land m = pm then s := !s *. ctx.c_psel.(i))
-      ctx.c_pmask;
-    Float.max Estimate.row_floor (cards.(m) *. !s)
-  in
+  let st = new_best () and buf = Buffer.create 64 in
   (* left-deep enumeration: the right input of every join is a single
      base relation, which is where index-nested-loops applies anyway.
      Every strict submask of [mask] is numerically smaller, so a
      single ascending scan visits masks in a valid DP order — the
      popcount-sorted work list of the reference, without materializing
-     or sorting 2^n masks. *)
+     or sorting 2^n masks — and every nonempty submask already has its
+     winner.  Splits are tried in ascending right-alias order and the
+     first minimal candidate wins, as in the reference. *)
   for mask = 1 to full do
     if popcount mask >= 2 then begin
-      rows.(mask) <- rows_of mask;
-      let best = ref None in
-      let consider entry =
-        match !best with
-        | Some b when Cost.total params b.e_cost <= Cost.total params entry.e_cost
-          ->
-            ()
-        | _ -> best := Some entry
+      st.found <- false;
+      st.s.out_rows <-
+        Float.max Estimate.row_floor (cards.(mask) *. selectivity ctx mask);
+      let hit =
+        match probe_for ctx buf shared mask with
+        | Some cache ->
+            fun r ->
+              let l = mask land lnot (1 lsl r) in
+              let conds, extra = split_parts ctx l r in
+              Hashtbl.mem cache
+                (join_signature ctx (sig_of l) (base_sig r) conds extra)
+        | None -> no_hit
       in
       let try_split require_connected =
-        for i = 0 to n - 1 do
-          let r = 1 lsl i in
-          if mask land r <> 0 then begin
-            let l = mask land lnot r in
-            match (table.(l), table.(r)) with
-            | Some le, Some re ->
-                if (not require_connected) || connected ctx l r then
-                  List.iter consider
-                    (join_candidates ?shared ctx le re rows.(mask))
-            | _ -> ()
+        for r = 0 to n - 1 do
+          let l = mask land lnot (1 lsl r) in
+          if
+            l <> mask
+            && ((not require_connected) || rights.(r).r_nbrs land l <> 0)
+          then begin
+            let s = st.s in
+            s.l_seeks <- dp.d_seeks.(l);
+            s.l_pages_read <- dp.d_pages_read.(l);
+            s.l_pages_written <- dp.d_pages_written.(l);
+            s.l_cpu <- dp.d_cpu.(l);
+            s.l_rows <- dp.d_rows.(l);
+            s.l_width <- dp.d_width.(l);
+            cost_split ctx rights st l r hit
           end
         done
       in
       try_split true;
-      if Option.is_none !best then try_split false;
-      match !best with Some _ as b -> table.(mask) <- b | None -> ()
+      if not st.found then try_split false;
+      let s = st.s and r = st.b_right in
+      dp.d_seeks.(mask) <- s.b_seeks;
+      dp.d_pages_read.(mask) <- s.b_pages_read;
+      dp.d_pages_written.(mask) <- s.b_pages_written;
+      dp.d_cpu.(mask) <- s.b_cpu;
+      dp.d_rows.(mask) <- s.b_rows;
+      (* [extend_width] over the right input's single relation *)
+      dp.d_width.(mask) <-
+        dp.d_width.(mask land lnot (1 lsl r)) +. ctx.c_carry.(r) +. 8.;
+      dp.d_right.(mask) <- r;
+      dp.d_jm.(mask) <- st.b_jm
     end
   done;
-  match table.(full) with Some e -> e | None -> raise Not_found
+  let rec plan_of m =
+    let r = dp.d_right.(m) in
+    let right = rights.(r).r_entry.e_plan in
+    if m = 1 lsl r then right
+    else
+      let l = m land lnot (1 lsl r) in
+      let conds, extra = split_parts ctx l r in
+      Physical.Join { jm = dp.d_jm.(m); left = plan_of l; right; conds; extra }
+  in
+  ( plan_of full,
+    dp.d_rows.(full),
+    {
+      Cost.seeks = dp.d_seeks.(full);
+      pages_read = dp.d_pages_read.(full);
+      pages_written = dp.d_pages_written.(full);
+      cpu = dp.d_cpu.(full);
+    } )
 
-let optimize_greedy ?shared ctx base_entries =
+let optimize_greedy ?shared ctx rights =
   (* left-deep: start from the cheapest entry, repeatedly add the
      relation that yields the cheapest join, preferring connected ones.
-     Cardinalities still go through the list-based
-     [Estimate.subset_rows]: the greedy accumulator's aliases are in
-     plan order, not block order, and the reference multiplies them in
-     that order. *)
+     The reference's [Estimate.subset_rows] multiplies the clamped
+     cardinalities of the accumulator's aliases in plan order, not
+     block order, so [cards] carries that product along the plan;
+     the selectivity half is the DP's. *)
   let params = ctx.c_params in
+  let total r = Cost.total params rights.(r).r_entry.e_cost in
   let by_cost =
     List.sort
-      (fun a b ->
-        Float.compare (Cost.total params a.e_cost) (Cost.total params b.e_cost))
-      base_entries
+      (fun a b -> Float.compare (total a) (total b))
+      (List.init (Array.length rights) Fun.id)
+  in
+  let st = new_best () and buf = Buffer.create 64 in
+  let rec go (acc : entry) cards remaining =
+    match remaining with
+    | [] -> acc
+    | _ ->
+        let pool =
+          match
+            List.filter
+              (fun r -> rights.(r).r_nbrs land acc.e_mask <> 0)
+              remaining
+          with
+          | [] -> remaining
+          | connected -> connected
+        in
+        st.found <- false;
+        load_entry st acc;
+        List.iter
+          (fun r ->
+            let mask = acc.e_mask lor (1 lsl r) in
+            st.s.out_rows <-
+              Float.max Estimate.row_floor
+                (cards *. ctx.c_card.(r) *. selectivity ctx mask);
+            let hit =
+              match probe_for ctx buf shared mask with
+              | Some cache ->
+                  fun r ->
+                    let conds, extra = split_parts ctx acc.e_mask r in
+                    Hashtbl.mem cache
+                      (join_signature ctx (Lazy.force acc.e_sig)
+                         (Lazy.force rights.(r).r_entry.e_sig)
+                         conds extra)
+              | None -> no_hit
+            in
+            cost_split ctx rights st acc.e_mask r hit)
+          pool;
+        (* the plan and entry are built for the step's winner only *)
+        let r = st.b_right and s = st.s in
+        let re = rights.(r).r_entry in
+        let conds, extra = split_parts ctx acc.e_mask r in
+        let next =
+          {
+            e_plan =
+              Physical.Join
+                {
+                  jm = st.b_jm;
+                  left = acc.e_plan;
+                  right = re.e_plan;
+                  conds;
+                  extra;
+                };
+            e_rows = s.b_rows;
+            e_cost =
+              {
+                Cost.seeks = s.b_seeks;
+                pages_read = s.b_pages_read;
+                pages_written = s.b_pages_written;
+                cpu = s.b_cpu;
+              };
+            e_mask = acc.e_mask lor re.e_mask;
+            e_width = extend_width ctx acc.e_width re.e_plan;
+            e_sig =
+              lazy
+                (join_signature ctx (Lazy.force acc.e_sig) (Lazy.force re.e_sig)
+                   conds extra);
+          }
+        in
+        go next
+          (cards *. ctx.c_card.(r))
+          (List.filter (fun x -> x <> r) remaining)
   in
   match by_cost with
   | [] -> invalid_arg "optimize_greedy: empty block"
   | first :: rest ->
-      let rec go acc remaining =
-        match remaining with
-        | [] -> acc
-        | _ ->
-            let acc_aliases = plan_aliases acc.e_plan in
-            let candidates =
-              List.map
-                (fun r ->
-                  let rows =
-                    Estimate.subset_rows ctx.c_env
-                      (acc_aliases @ plan_aliases r.e_plan)
-                  in
-                  (r, join_candidates ?shared ctx acc r rows))
-                remaining
-            in
-            let connected_first =
-              List.filter
-                (fun (r, _) -> connected ctx acc.e_mask r.e_mask)
-                candidates
-            in
-            let pool = if connected_first <> [] then connected_first else candidates in
-            let best =
-              List.fold_left
-                (fun best (r, cands) ->
-                  match (best, best_of params cands) with
-                  | None, Some e -> Some (r, e)
-                  | Some (_, be), Some e
-                    when Cost.total params e.e_cost < Cost.total params be.e_cost
-                    ->
-                      Some (r, e)
-                  | best, _ -> best)
-                None pool
-            in
-            (match best with
-            | Some (r, e) ->
-                go e (List.filter (fun x -> x != r) remaining)
-            | None -> acc)
-      in
-      go first rest
+      let e = go rights.(first).r_entry ctx.c_card.(first) rest in
+      (e.e_plan, e.e_rows, e.e_cost)
 
 let optimize_block ?(params = Cost.default_params) ?shared cat
     (block : Logical.block) =
@@ -640,13 +882,14 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
   let env = Estimate.env cat block in
   let ctx = context params env block in
   let aliases = List.map (fun (r : Logical.relation) -> r.alias) block.relations in
-  let base_entries = List.map (access_plan ?shared ctx) block.relations in
-  let joined =
-    match base_entries with
-    | [ single ] -> single
-    | _ when List.length aliases <= dp_limit ->
-        optimize_dp ?shared ctx base_entries
-    | _ -> optimize_greedy ?shared ctx base_entries
+  let base =
+    Array.of_list (List.map (access_plan ?shared ctx) block.relations)
+  in
+  let plan, rows, cost =
+    match Array.length base with
+    | 1 -> (base.(0).e_plan, base.(0).e_rows, base.(0).e_cost)
+    | n when n <= dp_limit -> optimize_dp ?shared ctx (right_sides ctx base)
+    | _ -> optimize_greedy ?shared ctx (right_sides ctx base)
   in
   (* result output: write the projected rows out *)
   let out_width = Estimate.output_width env block.out aliases in
@@ -654,18 +897,12 @@ let optimize_block ?(params = Cost.default_params) ?shared cat
     {
       Cost.seeks = 0.;
       pages_read = 0.;
-      pages_written = Cost.pages params (joined.e_rows *. out_width);
-      cpu = joined.e_rows;
+      pages_written = Cost.pages params (rows *. out_width);
+      cpu = rows;
     }
   in
-  (match shared with
-  | Some cache -> register_accesses cache joined.e_plan
-  | None -> ());
-  {
-    plan = joined.e_plan;
-    rows = joined.e_rows;
-    cost = Cost.add joined.e_cost output_cost;
-  }
+  (match shared with Some cache -> register_accesses cache plan | None -> ());
+  { plan; rows; cost = Cost.add cost output_cost }
 
 let query_cost ?(params = Cost.default_params) cat (q : Logical.query) =
   (* the blocks of one query share base-table accesses (outer-union

@@ -8,7 +8,7 @@ type reason = [ `Deadline | `Iterations | `Cost_budget | `Interrupted ]
 exception Exhausted of reason
 
 type t = {
-  deadline : float option;  (* absolute Unix time *)
+  deadline : float option;  (* absolute, on the monotonic Clock *)
   max_iterations : int option;
   max_evaluations : int option;
   evals : int Atomic.t;  (* tickets drawn *)
@@ -18,7 +18,7 @@ type t = {
 let create ?wall_ms ?max_iterations ?max_evaluations () =
   {
     deadline =
-      Option.map (fun ms -> Unix.gettimeofday () +. (ms /. 1000.)) wall_ms;
+      Option.map (fun ms -> Legodb_clock.Clock.now () +. (ms /. 1000.)) wall_ms;
     max_iterations;
     max_evaluations;
     evals = Atomic.make 0;
@@ -38,7 +38,7 @@ let evaluations t = Atomic.get t.evals
    even on a coarse clock *)
 let over_deadline t =
   match t.deadline with
-  | Some d -> Unix.gettimeofday () >= d
+  | Some d -> Legodb_clock.Clock.now () >= d
   | None -> false
 
 let poll t =

@@ -36,7 +36,9 @@ type t
 val create :
   ?wall_ms:float -> ?max_iterations:int -> ?max_evaluations:int -> unit -> t
 (** A budget; omitted limits are unlimited.  [wall_ms] arms an
-    absolute deadline [wall_ms] milliseconds from the call;
+    absolute deadline [wall_ms] milliseconds from the call, on the
+    monotonic {!Legodb_clock.Clock}, so stepping the wall clock
+    neither ends a search early nor extends it;
     [max_iterations] caps completed search iterations (beam levels);
     [max_evaluations] caps candidate configurations costed (the
     initial configuration is always costed and does not draw a

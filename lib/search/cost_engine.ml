@@ -87,7 +87,7 @@ and shard = {
 
 let create ?params ?(workload_indexes = false) ?(updates = [])
     ?(memoize = true) ?(oracle = false) ?inject ?per_query_timeout_ms
-    ?(clock = Unix.gettimeofday) ~workload () =
+    ?(clock = Legodb_clock.Clock.now) ~workload () =
   {
     params;
     workload_indexes;
@@ -105,19 +105,34 @@ let create ?params ?(workload_indexes = false) ?(updates = [])
   }
 
 (* The cache key of one statement: its position in the workload plus
-   the sorted fingerprints of the tables it touches.  Sorting the
-   fingerprints (not the table names) keeps the key independent of the
+   the sorted fingerprint digests of the tables it touches.  Sorting
+   the digests (not the table names) keeps the key independent of the
    fresh type names a transformation order happens to generate, so
    structurally identical configurations reached by different step
-   orders hit the same entry.  [fps] is the per-pass
-   {!Mapping.fingerprint_index} hashtable, so each touched table costs
-   one O(1) probe rather than an assoc-list walk over the catalog. *)
-let key ~kind ~index fps tables =
+   orders hit the same entry.  A fingerprint runs to hundreds of bytes
+   per table, and keys of whole fingerprints averaged 2 KB on the IMDB
+   lookup beam search — most of the memo table's memory, and a 2 KB
+   string built for every statement of every candidate.  So keys carry
+   each fingerprint's MD5 in hex instead; two structurally different
+   tables share a key only on an MD5 collision.  [digests] is the
+   per-pass table of them (see [digest_index]), so each touched table
+   costs one O(1) probe. *)
+let key ~kind ~index digests tables =
   let fp t =
-    match Hashtbl.find_opt fps t with Some f -> f | None -> "?" ^ t
+    match Hashtbl.find_opt digests t with Some d -> d | None -> "?" ^ t
   in
   Printf.sprintf "%c%d|%s" kind index
     (String.concat "\x00" (List.sort String.compare (List.map fp tables)))
+
+(* {!Mapping.fingerprint_index} with each fingerprint replaced by its
+   hex MD5 *)
+let digest_index catalog =
+  let digests = Hashtbl.create 64 in
+  List.iter
+    (fun (t, fp) ->
+      Hashtbl.replace digests t (Digest.to_hex (Digest.string fp)))
+    (Mapping.table_fingerprints catalog);
+  digests
 
 (* One costing pass, generic over where cache lookups/insertions and
    counter bumps land: the engine itself ([cost]) or a worker shard
@@ -188,7 +203,7 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
   in
   (* fingerprints are computed on the catalog the optimizer sees, so
      workload-granted indexes are part of the invalidation key *)
-  let fps = lazy (Mapping.fingerprint_index catalog) in
+  let digests = lazy (digest_index catalog) in
   let costed kind index tables fresh =
     let compute () =
       let t2 = now () in
@@ -217,7 +232,7 @@ let cost_into ?(check = ignore) ~find ~add (t : t) (c : counters) schema =
     in
     if not t.memoize then compute ()
     else
-      let k = key ~kind ~index (Lazy.force fps) tables in
+      let k = key ~kind ~index (Lazy.force digests) tables in
       match find k with
       | Some v ->
           if t.oracle then begin

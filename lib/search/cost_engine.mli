@@ -5,7 +5,9 @@
     leaves most queries' plans untouched.  The engine exploits this:
     it memoizes each statement's optimizer cost under the key
     [(statement index, fingerprints of the tables it touches)], where
-    the fingerprints come from {!Mapping.table_fingerprints}.  A cached
+    the fingerprints come from {!Mapping.table_fingerprints} and enter
+    the key as their MD5 digests (a whole fingerprint runs to hundreds
+    of bytes; only a digest collision could alias two tables).  A cached
     cost is reused exactly when every table the statement reads or
     writes is structurally unchanged (columns, statistics, indexes,
     cardinality, and parents) — in which case the optimizer would
@@ -90,9 +92,10 @@ val create :
     the bit-identical determinism guarantees; with a timeout set,
     which candidates fault can depend on machine speed.
 
-    [?clock] (default [Unix.gettimeofday]) is the time source for the
-    per-phase timers and the per-query timeout — injectable so tests
-    drive the timeout deterministically with a fake clock. *)
+    [?clock] (default the monotonic {!Legodb_clock.Clock.now}, so a
+    wall-clock step cannot fault a candidate) is the time source for
+    the per-phase timers and the per-query timeout — injectable so
+    tests drive the timeout deterministically with a fake clock. *)
 
 (** Every costing entry point takes an optional [?check] hook, called
     once at entry before any work: a cooperative cancellation point.

@@ -53,6 +53,20 @@ let run_prefix (picks, max_evals, jobs) =
 
 let suite =
   [
+    case "monotonic clock never goes backwards and advances" (fun () ->
+        let prev = ref (Clock.now ()) in
+        for _ = 1 to 100_000 do
+          let t = Clock.now () in
+          if t < !prev then Alcotest.failf "clock went back: %h < %h" t !prev;
+          prev := t
+        done;
+        let t0 = Clock.now () in
+        Unix.sleepf 0.02;
+        let dt = Clock.now () -. t0 in
+        (* a sleep never returns early; the upper bound only catches a
+           unit error (nanoseconds or milliseconds read as seconds) *)
+        check_bool "advances across a 20 ms sleep" true
+          (dt >= 0.019 && dt < 5.));
     case "budget primitives" (fun () ->
         let b = Budget.create ~max_evaluations:2 () in
         Budget.tick b;

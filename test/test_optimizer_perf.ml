@@ -160,6 +160,58 @@ let gen_shared_case =
     let+ blocks = flatten_l (List.map (gen_block cat) sizes) in
     (cat, blocks))
 
+(* blocks at the DP limit, where the design search spends its time.
+   [cut] splits the aliases into r0..r(cut-1) and the rest and drops
+   every predicate across the cut, so for 0 < cut < nrels the join
+   graph is disconnected and the DP falls back to cross products *)
+let gen_wide_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let* nrels = int_range 9 Optimizer.dp_limit in
+    let* block = gen_block cat nrels in
+    let+ cut = int_range 0 (nrels - 1) in
+    let side a = int_of_string (String.sub a 1 (String.length a - 1)) < cut in
+    let crosses p =
+      match Logical.pred_aliases p with
+      | [ a; b ] -> side a <> side b
+      | _ -> false
+    in
+    ( cat,
+      {
+        block with
+        Logical.preds = List.filter (fun p -> not (crosses p)) block.preds;
+      } ))
+
+(* blocks past the DP limit, which take the greedy path *)
+let gen_greedy_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let* nrels = int_range (Optimizer.dp_limit + 1) 14 in
+    let+ block = gen_block cat nrels in
+    (cat, block))
+
+(* the blocks of one query over one relation list (the same tables
+   under the same aliases) with independently drawn predicates, plus
+   sometimes a repeat of the first block.  After the first block the
+   shared cache holds the table multiset of every join in its plan,
+   and a later join over the same aliases has that multiset too, so
+   the table-key check passes and only the signature decides whether
+   the join is reused *)
+let gen_same_tables_case =
+  QCheck2.Gen.(
+    let* cat = gen_catalog in
+    let* nrels = int_range 2 7 in
+    let* first = gen_block cat nrels in
+    let* others = list_size (int_range 1 3) (gen_block cat nrels) in
+    let+ repeat = bool in
+    let others =
+      List.map
+        (fun (b : Logical.block) ->
+          { b with Logical.relations = first.relations })
+        others
+    in
+    (cat, (first :: others) @ if repeat then [ first ] else []))
+
 let print_case (cat, block) =
   Format.asprintf "%a@.%a" Rschema.pp cat Logical.pp_block block
 
@@ -194,6 +246,51 @@ let prop_shared_identical =
               block
           in
           same_result (Printf.sprintf "shared block %d" i) fast ref_)
+        blocks;
+      true)
+
+let prop_wide_identical =
+  QCheck2.Test.make ~name:"optimize_block bit-identical at the DP limit"
+    ~count:40 ~print:print_case gen_wide_case (fun (cat, block) ->
+      let fast = Optimizer.optimize_block ~params cat block in
+      let ref_ = Optimizer_reference.optimize_block ~params cat block in
+      same_result "wide block" fast ref_;
+      true)
+
+(* plain, then twice through one shared cache: the second pass finds
+   the first pass's accesses and joins there *)
+let prop_greedy_identical =
+  QCheck2.Test.make ~name:"greedy path bit-identical to reference"
+    ~count:60 ~print:print_case gen_greedy_case (fun (cat, block) ->
+      same_result "greedy block"
+        (Optimizer.optimize_block ~params cat block)
+        (Optimizer_reference.optimize_block ~params cat block);
+      let shared_fast = Hashtbl.create 16 in
+      let shared_ref = Hashtbl.create 16 in
+      for pass = 1 to 2 do
+        same_result
+          (Printf.sprintf "greedy block, shared pass %d" pass)
+          (Optimizer.optimize_block ~params ~shared:shared_fast cat block)
+          (Optimizer_reference.optimize_block ~params ~shared:shared_ref cat
+             block)
+      done;
+      true)
+
+let prop_same_tables_identical =
+  QCheck2.Test.make
+    ~name:"shared cache over one table multiset bit-identical to reference"
+    ~count:100 ~print:print_shared_case gen_same_tables_case
+    (fun (cat, blocks) ->
+      let shared_fast = Hashtbl.create 16 in
+      let shared_ref = Hashtbl.create 16 in
+      List.iteri
+        (fun i block ->
+          let fast = Optimizer.optimize_block ~params ~shared:shared_fast cat block in
+          let ref_ =
+            Optimizer_reference.optimize_block ~params ~shared:shared_ref cat
+              block
+          in
+          same_result (Printf.sprintf "same-tables block %d" i) fast ref_)
         blocks;
       true)
 
@@ -280,5 +377,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_block_identical;
     QCheck_alcotest.to_alcotest prop_shared_identical;
     QCheck_alcotest.to_alcotest prop_query_identical;
+    QCheck_alcotest.to_alcotest prop_wide_identical;
+    QCheck_alcotest.to_alcotest prop_same_tables_identical;
+    QCheck_alcotest.to_alcotest prop_greedy_identical;
     Alcotest.test_case "greedy fallback beyond dp_limit" `Quick greedy_fallback;
   ]
